@@ -92,7 +92,7 @@ for s in range(samples):
         grad = derive(spec, base, grid, "rk4")
         pick = solve_tu(grad, con.rows, con.rhs)
         cert = certify(spec, base, grad, pick, grid, "rk4")
-        totals[kind] += cert.payoff_post if is_feasible(con, base) else cert.payoff
+        totals[kind] += cert.applied(is_feasible(con, base))[1]
 
 print(f"average slot payoff over {samples} sampled linearization points:")
 print(f"  relaxation-based derivative   : {totals['standard'] / samples:.4f}")

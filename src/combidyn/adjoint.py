@@ -17,20 +17,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AdjointDivergedError, DimensionError
-from .system import SystemSpec, Trajectory, AdjointTrajectory, _check_grid, _check_scheme
+from .system import (
+    AdjointTrajectory,
+    SystemSpec,
+    Trajectory,
+    _check_grid,
+    _check_scheme,
+    decision_vector,
+)
 
 
 def hamiltonian(spec: SystemSpec, state, costate, alpha, t: float = 0.0) -> float:
     """lam^T f(x, alpha, t) + r(x, alpha, t)."""
     x = np.asarray(state, dtype=float).reshape(-1)
     lam = np.asarray(costate, dtype=float).reshape(-1)
-    a = np.asarray(alpha, dtype=float).reshape(-1)
     if x.size != spec.state_dim or lam.size != spec.state_dim:
         raise DimensionError("state and costate must both have the system's state dimension")
-    if a.size != spec.decision_dim:
-        raise DimensionError(
-            f"decision vector has length {a.size}, expected {spec.decision_dim}"
-        )
+    a = decision_vector(alpha, spec.decision_dim)
     return float(lam @ spec.vector_field(x, a, t)) + float(spec.running_payoff(x, a, t))
 
 
@@ -44,11 +47,7 @@ def solve_adjoint(
     """
     _check_scheme(scheme)
     _check_grid(spec, forward.grid)
-    a = np.asarray(alpha, dtype=float).reshape(-1)
-    if a.size != spec.decision_dim:
-        raise DimensionError(
-            f"decision vector has length {a.size}, expected {spec.decision_dim}"
-        )
+    a = decision_vector(alpha, spec.decision_dim)
     X = forward.values
     if X.shape[1] != spec.state_dim:
         raise DimensionError("forward trajectory does not match the system's state dimension")

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DimensionError, EnumerationRefusedError
 from .gradient import Gradient
+from .solvers import binary_chunks, binary_rows
 from .system import SystemSpec, TimeGrid, as_binary, evaluate_payoff, integrate
 
 _ZERO_GAIN_TOL = 1e-12
@@ -58,6 +59,14 @@ class CertifiedSolution:
     def __post_init__(self):
         if self.rho_post < 0.0:
             raise ValueError("rho_post must be nonnegative")
+
+    def applied(self, base_feasible: bool):
+        """The decision to apply and its payoff: the post-processed pick when
+        the base point is feasible, else the solver's pick, because an
+        infeasible base point is no fallback."""
+        if base_feasible:
+            return self.alpha_post, self.payoff_post
+        return self.alpha_star, self.payoff
 
 
 def certify(
@@ -155,28 +164,26 @@ def check_concavity_inequality(
     worst_violation = -np.inf
     worst_alpha = abar
     holds = True
-    for code in range(1 << m):
-        alpha = np.array([(code >> (m - 1 - j)) & 1 for j in range(m)], dtype=float)
-        j_alpha = float(payoff_fn(alpha))
-        lhs = float(grad.entries @ (alpha - abar))
-        violation = (j_alpha - grad.base_payoff) - lhs
-        if violation > worst_violation:
-            worst_violation = violation
-            worst_alpha = alpha
-        if violation > 1e-7 * (1.0 + abs(j_alpha)):
-            holds = False
+    for rows in binary_chunks(m):
+        for alpha in rows:
+            j_alpha = float(payoff_fn(alpha))
+            lhs = float(grad.entries @ (alpha - abar))
+            violation = (j_alpha - grad.base_payoff) - lhs
+            if violation > worst_violation:
+                worst_violation = violation
+                worst_alpha = alpha.copy()
+            if violation > 1e-7 * (1.0 + abs(j_alpha)):
+                holds = False
     return ConcavityReport(
         holds=holds, worst_alpha=worst_alpha, worst_violation=worst_violation, checked=1 << m
     )
 
 
 def _payoff_table(payoff: Callable[[np.ndarray], float], m: int) -> np.ndarray:
-    """Payoff at every subset, indexed by the little-endian bit code."""
-    table = np.empty(1 << m)
-    for code in range(1 << m):
-        alpha = np.array([(code >> j) & 1 for j in range(m)], dtype=float)
-        table[code] = float(payoff(alpha))
-    return table
+    """Payoff at every subset, indexed by the little-endian bit code (bit j
+    of the code is entry j): the lexicographic rows read column-reversed."""
+    little = (a for rows in binary_chunks(m) for a in np.ascontiguousarray(rows[:, ::-1]))
+    return np.fromiter((float(payoff(a)) for a in little), float, count=1 << m)
 
 
 @dataclass(frozen=True)
@@ -186,10 +193,6 @@ class SetFunctionReport:
     holds: bool
     worst_gap: float
     witness: np.ndarray
-
-
-def _code_to_alpha(code: int, m: int) -> np.ndarray:
-    return np.array([(code >> j) & 1 for j in range(m)], dtype=float)
 
 
 def submodularity_report(payoff: Callable[[np.ndarray], float], m: int) -> SetFunctionReport:
@@ -218,9 +221,8 @@ def submodularity_report(payoff: Callable[[np.ndarray], float], m: int) -> SetFu
             if second[k] > worst:
                 worst = float(second[k])
                 worst_code = int(base[k])
-    return SetFunctionReport(
-        holds=bool(worst <= tol), worst_gap=worst, witness=_code_to_alpha(worst_code, m)
-    )
+    witness = binary_rows(worst_code, worst_code + 1, m)[0, ::-1]  # little-endian
+    return SetFunctionReport(holds=bool(worst <= tol), worst_gap=worst, witness=witness)
 
 
 def check_submodular(payoff: Callable[[np.ndarray], float], m: int) -> bool:
@@ -247,9 +249,8 @@ def monotonicity_report(payoff: Callable[[np.ndarray], float], m: int) -> SetFun
         if drop[k] > worst:
             worst = float(drop[k])
             worst_code = int(base[k])
-    return SetFunctionReport(
-        holds=bool(worst <= tol), worst_gap=worst, witness=_code_to_alpha(worst_code, m)
-    )
+    witness = binary_rows(worst_code, worst_code + 1, m)[0, ::-1]  # little-endian
+    return SetFunctionReport(holds=bool(worst <= tol), worst_gap=worst, witness=witness)
 
 
 def check_monotone(payoff: Callable[[np.ndarray], float], m: int) -> bool:

@@ -13,33 +13,24 @@ report:
 
 Exit codes: 0 ok, 2 parse/configuration error, 3 infeasible, 4 numeric
 failure.  Floats print with 9 significant digits; outputs are byte-identical
-under a fixed seed and configuration.  The COMBIDYN_MAX_WORKERS environment
-variable caps the thread pool used by the sampling commands.
+under a fixed seed and configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .certify import certify, check_concavity_inequality, monotonicity_report, submodularity_report
 from .errors import (
-    AdjointDivergedError,
     CombidynError,
     ConstraintError,
     DimensionError,
     EnumerationRefusedError,
     InfeasibleError,
-    IntegrationDivergedError,
-    NumericError,
     ScenarioError,
-    TuViolationError,
 )
 from .gradient import nonstandard_derivative, standard_derivative
 from .refrigeration import (
@@ -54,37 +45,7 @@ from .scenario_io import parse_scenario
 from .solvers import is_feasible
 from .system import TimeGrid, evaluate_payoff, integrate
 
-COMMANDS = (
-    "optimize",
-    "certify",
-    "oracle",
-    "sweep-linearization",
-    "compare-derivatives",
-    "check-concavity",
-    "check-submodular",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario_path: str
-    derivative: str = "standard"
-    solver: str = "tu"
-    grid: int = 201
-    scheme: str = "euler"
-    seed: int = 0
-    out: Optional[str] = None
-    format: str = "csv"
-    samples: int = 100
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConstraintError(f"unknown command {self.command!r}")
-        if not self.scenario_path:
-            raise ConstraintError("scenario path must be nonempty")
-        if self.grid < 2:
-            raise ConstraintError("grid must have at least 2 points")
+_CONFIG_ERRORS = (ScenarioError, ConstraintError, DimensionError, EnumerationRefusedError)
 
 
 def _fnum(x) -> str:
@@ -95,23 +56,7 @@ def _bits(alpha) -> str:
     return "".join(str(int(v)) for v in alpha)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("COMBIDYN_MAX_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_samples(fn, items):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _emit(config: RunConfig, lines) -> None:
+def _emit(config: argparse.Namespace, lines) -> None:
     text = "\n".join(lines) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
@@ -120,19 +65,20 @@ def _emit(config: RunConfig, lines) -> None:
         sys.stdout.write(text)
 
 
-def _rho_value(res) -> float:
-    return 1.0 if res.optimal else res.rho_post
-
-
-def _cmd_optimize(config: RunConfig, scenario: Scenario):
-    results = run_receding_horizon(
+def _horizon(config: argparse.Namespace, scenario: Scenario):
+    return run_receding_horizon(
         scenario,
-        kind=config.derivative if config.derivative != "both" else "both",
+        kind=config.derivative,
         solver=config.solver,
         grid_points=config.grid,
         scheme=config.scheme,
         seed=config.seed,
+        with_oracle=config.command == "oracle",
     )
+
+
+def _cmd_optimize(config: argparse.Namespace, scenario: Scenario):
+    results = _horizon(config, scenario)
     if config.format == "csv":
         lines = ["step,unit,alpha,temperature_end,power_kw,payoff,rho_post"]
         for res in results:
@@ -146,7 +92,7 @@ def _cmd_optimize(config: RunConfig, scenario: Scenario):
                             _fnum(res.temperatures_end[unit]),
                             _fnum(res.power_kw),
                             _fnum(res.payoff),
-                            _fnum(_rho_value(res)),
+                            _fnum(res.rho_post),
                         ]
                     )
                 )
@@ -156,20 +102,13 @@ def _cmd_optimize(config: RunConfig, scenario: Scenario):
             lines.append(
                 f"step {res.step:3d}  on={int(res.alpha.sum()):3d}  "
                 f"power={_fnum(res.power_kw)} kW  payoff={_fnum(res.payoff)}  "
-                f"rho_post={_fnum(_rho_value(res))}{'  (base optimal)' if res.optimal else ''}"
+                f"rho_post={_fnum(res.rho_post)}{'  (base optimal)' if res.optimal else ''}"
             )
     _emit(config, lines)
 
 
-def _cmd_certify(config: RunConfig, scenario: Scenario):
-    results = run_receding_horizon(
-        scenario,
-        kind=config.derivative if config.derivative != "both" else "both",
-        solver=config.solver,
-        grid_points=config.grid,
-        scheme=config.scheme,
-        seed=config.seed,
-    )
+def _cmd_certify(config: argparse.Namespace, scenario: Scenario):
+    results = _horizon(config, scenario)
     if config.format == "csv":
         lines = ["step,kind,payoff,base_payoff,rho,rho_post,optimal"]
         for res in results:
@@ -181,7 +120,7 @@ def _cmd_certify(config: RunConfig, scenario: Scenario):
                         _fnum(res.payoff),
                         _fnum(res.base_payoff),
                         _fnum(res.rho) if res.rho is not None else "",
-                        _fnum(_rho_value(res)),
+                        _fnum(res.rho_post),
                         str(int(res.optimal)),
                     ]
                 )
@@ -199,16 +138,8 @@ def _cmd_certify(config: RunConfig, scenario: Scenario):
     _emit(config, lines)
 
 
-def _cmd_oracle(config: RunConfig, scenario: Scenario):
-    results = run_receding_horizon(
-        scenario,
-        kind=config.derivative if config.derivative != "both" else "both",
-        solver=config.solver,
-        grid_points=config.grid,
-        scheme=config.scheme,
-        seed=config.seed,
-        with_oracle=True,
-    )
+def _cmd_oracle(config: argparse.Namespace, scenario: Scenario):
+    results = _horizon(config, scenario)
     if config.format == "csv":
         lines = ["step,payoff_gain,oracle_gain,ratio,rho_post"]
         for res in results:
@@ -219,7 +150,7 @@ def _cmd_oracle(config: RunConfig, scenario: Scenario):
                         _fnum(res.payoff - res.base_payoff),
                         _fnum(res.oracle_payoff - res.base_payoff),
                         _fnum(res.oracle_ratio),
-                        _fnum(_rho_value(res)),
+                        _fnum(res.rho_post),
                     ]
                 )
             )
@@ -229,20 +160,20 @@ def _cmd_oracle(config: RunConfig, scenario: Scenario):
         for res in results:
             lines.append(
                 f"step {res.step:3d}  ratio={_fnum(res.oracle_ratio)}  "
-                f"rho_post={_fnum(_rho_value(res))}"
+                f"rho_post={_fnum(res.rho_post)}"
             )
         lines.append(f"worst ratio {_fnum(min(ratios))}, mean {_fnum(float(np.mean(ratios)))}")
     _emit(config, lines)
 
 
-def _first_slot(config: RunConfig, scenario: Scenario):
+def _first_slot(config: argparse.Namespace, scenario: Scenario):
+    grid = TimeGrid(scenario.step_hours, config.grid)
     spec = step_system(scenario, scenario.params.x0)
     con, band = step_constraints(scenario, 1)
-    grid = TimeGrid(scenario.step_hours, config.grid)
     return spec, con, band, grid
 
 
-def _slot_payoff_fn(config: RunConfig, scenario: Scenario, spec, grid):
+def _slot_payoff_fn(config: argparse.Namespace, scenario: Scenario, spec, grid):
     """Exact discrete slot payoff; quadratic reduction for linear fleets."""
     if scenario.transient is None:
         model = quadratic_payoff_model(scenario.params, scenario.step_hours, grid, config.scheme)
@@ -250,29 +181,46 @@ def _slot_payoff_fn(config: RunConfig, scenario: Scenario, spec, grid):
     return lambda a: evaluate_payoff(spec, integrate(spec, a, grid, config.scheme), a)
 
 
-def _cmd_sweep(config: RunConfig, scenario: Scenario):
+def _single_kind(config: argparse.Namespace) -> str:
+    """The derivative for commands that take one: ``both`` means standard."""
+    return "nonstandard" if config.derivative == "nonstandard" else "standard"
+
+
+def _derive(kind: str, spec, abar, grid, scheme):
+    derive = standard_derivative if kind == "standard" else nonstandard_derivative
+    return derive(spec, abar, grid, scheme)
+
+
+def _sampled_picks(config: argparse.Namespace, scenario: Scenario, kinds):
+    """Certified first-slot picks at sampled linearization points: all-zeros
+    first, then ``samples - 1`` uniform draws.  Yields (index, base, picks)
+    with picks[kind] = (gradient, certificate, applied payoff)."""
     spec, con, band, grid = _first_slot(config, scenario)
+    m = scenario.params.m
     rng = np.random.default_rng(config.seed)
-    bases = [np.zeros(scenario.params.m)]
-    bases += [rng.integers(0, 2, scenario.params.m).astype(float) for _ in range(config.samples - 1)]
-    derive = standard_derivative if config.derivative != "nonstandard" else nonstandard_derivative
-    baseline = evaluate_payoff(
-        spec, integrate(spec, np.zeros(scenario.params.m), grid, config.scheme), np.zeros(scenario.params.m)
-    )
+    bases = [np.zeros(m)] + [rng.integers(0, 2, m).astype(float) for _ in range(config.samples - 1)]
+    for idx, abar in enumerate(bases):
+        base_feasible = is_feasible(con, abar)
+        picks = {}
+        for kind in kinds:
+            grad = _derive(kind, spec, abar, grid, config.scheme)
+            alpha_star = solve_linearized(grad, con, band, config.solver, scenario)
+            cert = certify(spec, abar, grad, alpha_star, grid, config.scheme)
+            picks[kind] = (grad, cert, cert.applied(base_feasible)[1])
+        yield idx, abar, picks
 
-    def one(sample):
-        idx, abar = sample
-        grad = derive(spec, abar, grid, config.scheme)
-        alpha_star = solve_linearized(grad, con, band, config.solver, scenario)
-        cert = certify(spec, abar, grad, alpha_star, grid, config.scheme)
-        applied = cert.alpha_post if is_feasible(con, abar) else cert.alpha_star
-        payoff = cert.payoff_post if is_feasible(con, abar) else cert.payoff
-        return idx, abar, payoff - baseline, cert.rho_post, applied
 
-    rows = _map_samples(one, list(enumerate(bases)))
+def _cmd_sweep(config: argparse.Namespace, scenario: Scenario):
+    kind = _single_kind(config)
+    rows = []
+    for idx, abar, picks in _sampled_picks(config, scenario, (kind,)):
+        _grad, cert, payoff = picks[kind]
+        if idx == 0:
+            baseline = cert.base_payoff  # sample 0 linearizes at all-off
+        rows.append((idx, abar, payoff - baseline, cert.rho_post))
     if config.format == "csv":
         lines = ["sample,alpha_bar,payoff_gain,rho_post"]
-        for idx, abar, gain, rho_post, _ in rows:
+        for idx, abar, gain, rho_post in rows:
             lines.append(f"{idx},{_bits(abar)},{_fnum(gain)},{_fnum(rho_post)}")
     else:
         gains = [row[2] for row in rows]
@@ -284,26 +232,13 @@ def _cmd_sweep(config: RunConfig, scenario: Scenario):
     _emit(config, lines)
 
 
-def _cmd_compare(config: RunConfig, scenario: Scenario):
-    spec, con, band, grid = _first_slot(config, scenario)
-    rng = np.random.default_rng(config.seed)
-    bases = [np.zeros(scenario.params.m)]
-    bases += [rng.integers(0, 2, scenario.params.m).astype(float) for _ in range(config.samples - 1)]
-
-    def one(sample):
-        idx, abar = sample
-        out = {}
-        grads = {}
-        for kind, derive in (("standard", standard_derivative), ("nonstandard", nonstandard_derivative)):
-            grad = derive(spec, abar, grid, config.scheme)
-            grads[kind] = grad
-            alpha_star = solve_linearized(grad, con, band, config.solver, scenario)
-            cert = certify(spec, abar, grad, alpha_star, grid, config.scheme)
-            out[kind] = cert.payoff_post if is_feasible(con, abar) else cert.payoff
-        gdiff = float(np.max(np.abs(grads["standard"].entries - grads["nonstandard"].entries)))
-        return idx, abar, out["standard"], out["nonstandard"], gdiff
-
-    rows = _map_samples(one, list(enumerate(bases)))
+def _cmd_compare(config: argparse.Namespace, scenario: Scenario):
+    rows = []
+    kinds = ("standard", "nonstandard")
+    for idx, abar, picks in _sampled_picks(config, scenario, kinds):
+        (g_std, _, p_std), (g_ns, _, p_ns) = (picks[kind] for kind in kinds)
+        gdiff = float(np.max(np.abs(g_std.entries - g_ns.entries)))
+        rows.append((idx, abar, p_std, p_ns, gdiff))
     avg_std = float(np.mean([r[2] for r in rows]))
     avg_ns = float(np.mean([r[3] for r in rows]))
     max_gdiff = max(r[4] for r in rows)
@@ -323,11 +258,10 @@ def _cmd_compare(config: RunConfig, scenario: Scenario):
     _emit(config, lines)
 
 
-def _cmd_check_concavity(config: RunConfig, scenario: Scenario):
-    spec, con, band, grid = _first_slot(config, scenario)
+def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
+    spec, _con, _band, grid = _first_slot(config, scenario)
     abar = np.zeros(scenario.params.m)
-    derive = standard_derivative if config.derivative != "nonstandard" else nonstandard_derivative
-    grad = derive(spec, abar, grid, config.scheme)
+    grad = _derive(_single_kind(config), spec, abar, grid, config.scheme)
     payoff_fn = _slot_payoff_fn(config, scenario, spec, grid)
     report = check_concavity_inequality(spec, abar, grad, grid, config.scheme, payoff_fn=payoff_fn)
     verdict = "pass" if report.holds else "FAIL"
@@ -338,7 +272,7 @@ def _cmd_check_concavity(config: RunConfig, scenario: Scenario):
     _emit(config, lines)
 
 
-def _cmd_check_submodular(config: RunConfig, scenario: Scenario):
+def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
     spec, _con, _band, grid = _first_slot(config, scenario)
     payoff_fn = _slot_payoff_fn(config, scenario, spec, grid)
     sub = submodularity_report(payoff_fn, scenario.params.m)
@@ -363,19 +297,13 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    scenario = parse_scenario(config.scenario_path)
-    _DISPATCH[config.command](config, scenario)
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combidyn",
         description="Optimize binary decisions governing an ODE fleet and certify the results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument(
@@ -392,38 +320,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        scenario_path=args.scenario,
-        derivative=args.derivative,
-        solver=args.solver,
-        grid=args.grid,
-        scheme=args.scheme,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        samples=args.samples,
-    )
+    config = _build_parser().parse_args(argv)
     try:
-        return run(config)
-    except (ScenarioError, ConstraintError, DimensionError, EnumerationRefusedError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (
-        IntegrationDivergedError,
-        AdjointDivergedError,
-        TuViolationError,
-        NumericError,
-    ) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        _DISPATCH[config.command](config, parse_scenario(config.scenario))
     except CombidynError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, _CONFIG_ERRORS):
+            return 2
+        return 3 if isinstance(exc, InfeasibleError) else 4
+    return 0
 
 
 if __name__ == "__main__":

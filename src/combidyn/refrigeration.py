@@ -28,6 +28,7 @@ from .errors import ConstraintError, DimensionError, InfeasibleError
 from .gradient import Gradient, nonstandard_derivative, standard_derivative
 from .solvers import (
     TuRows,
+    integer_array,
     is_feasible,
     solve_bruteforce,
     solve_knapsack,
@@ -160,6 +161,21 @@ def build_etp_system(params: EtpParams, alpha_slot_horizon: float) -> SystemSpec
     )
 
 
+def _transient_arrays(xi, members, m: int):
+    """Validated (xi, members) of a transient configuration for m units:
+    positive decay rates, unique 0-based member indices below m."""
+    xi = _vec(xi, m, "xi")
+    if np.any(xi <= 0):
+        raise ConstraintError("transient decay rates must be positive")
+    members = tuple(int(i) for i in members)
+    if len(set(members)) != len(members):
+        raise ConstraintError("transient member indices must be unique")
+    for i in members:
+        if not (0 <= i < m):
+            raise DimensionError(f"transient member index {i} out of range for m = {m}")
+    return xi, members
+
+
 def build_transient_system(
     params: EtpParams, xi, members: Sequence[int], alpha_slot_horizon: float
 ) -> SystemSpec:
@@ -173,15 +189,7 @@ def build_transient_system(
     but it is no longer affine and the two derivative concepts differ.
     """
     m = params.m
-    xi = _vec(xi, m, "xi")
-    if np.any(xi <= 0):
-        raise ConstraintError("transient decay rates must be positive")
-    members = tuple(int(i) for i in members)
-    if len(set(members)) != len(members):
-        raise ConstraintError("transient member indices must be unique")
-    for i in members:
-        if not (0 <= i < m):
-            raise DimensionError(f"transient member index {i} out of range for m = {m}")
+    xi, members = _transient_arrays(xi, members, m)
     mem = np.zeros(m, dtype=bool)
     mem[list(members)] = True
 
@@ -250,11 +258,7 @@ class TuCase:
         if Q.ndim != 2 or Q.shape[0] != r.size:
             raise DimensionError("rows and rhs shapes do not match")
         for name, arr in (("rows", Q), ("rhs", r), ("z_bar", z)):
-            if not np.allclose(arr, np.round(arr), atol=1e-9):
-                raise ConstraintError(f"{name} must be integer")
-        object.__setattr__(self, "rows", np.round(Q))
-        object.__setattr__(self, "rhs", np.round(r))
-        object.__setattr__(self, "z_bar", np.round(z))
+            object.__setattr__(self, name, integer_array(arr, name))
 
 
 @dataclass(frozen=True)
@@ -296,13 +300,10 @@ class Scenario:
         else:
             raise ConstraintError("case must be a target band or TU rows")
         if self.transient is not None:
-            xi = _vec(self.transient.xi, self.params.m, "xi")
-            object.__setattr__(self, "transient", TransientConfig(xi, self.transient.members))
-            if np.any(xi <= 0):
-                raise ConstraintError("transient decay rates must be positive")
-            for i in self.transient.members:
-                if not (0 <= i < self.params.m):
-                    raise DimensionError(f"transient member index {i} out of range")
+            xi, members = _transient_arrays(
+                self.transient.xi, self.transient.members, self.params.m
+            )
+            object.__setattr__(self, "transient", TransientConfig(xi, members))
 
     @property
     def step_hours(self) -> float:
@@ -623,9 +624,10 @@ def run_receding_horizon(
     requested payoff derivative at the linearization point (all-zeros by
     default), solve the linearized 0-1 program, certify, and apply the
     post-processed decision (falling back to the solver output if the base
-    point is infeasible for this step's constraints).  ``kind="both"``
-    solves with both derivative concepts and applies the better certified
-    decision.  ``solver="oracle"`` applies the exact per-slot optimum
+    point is infeasible for this step's constraints, see
+    :meth:`CertifiedSolution.applied`).  ``kind="both"`` solves with both
+    derivative concepts and applies the decision with the better applied
+    payoff.  ``solver="oracle"`` applies the exact per-slot optimum
     instead.  ``with_oracle=True`` additionally reports the exact optimum
     and the achieved optimality ratio along the applied path.
     """
@@ -642,27 +644,25 @@ def run_receding_horizon(
         abar = _pick_base(linearization, k, prev_alpha, m, rng)
 
         if solver == "oracle":
-            alpha_opt, val_opt = _oracle_best(scenario, spec, grid, scheme, con)
+            applied, applied_payoff = _oracle_best(scenario, spec, grid, scheme, con)
             base_traj = integrate(spec, abar, grid, scheme)
             base_payoff = evaluate_payoff(spec, base_traj, abar)
-            applied, applied_payoff = alpha_opt, val_opt
             rho, rho_post, optimal, used_kind = None, 1.0, True, "oracle"
         else:
             kinds = ("standard", "nonstandard") if kind == "both" else (kind,)
+            base_feasible = is_feasible(con, abar)
             best = None
             for one in kinds:
                 derive = standard_derivative if one == "standard" else nonstandard_derivative
                 grad = derive(spec, abar, grid, scheme)
                 alpha_star = solve_linearized(grad, con, band, solver, scenario)
                 cert = certify(spec, abar, grad, alpha_star, grid, scheme)
-                if best is None or cert.payoff_post > best[1].payoff_post:
-                    best = (one, cert)
-            used_kind, cert = best
+                alpha, payoff = cert.applied(base_feasible)
+                # Ties keep the first kind, so "both" prefers the standard one.
+                if best is None or payoff > best[3]:
+                    best = (one, cert, alpha, payoff)
+            used_kind, cert, applied, applied_payoff = best
             base_payoff = cert.base_payoff
-            if is_feasible(con, abar):
-                applied, applied_payoff = cert.alpha_post, cert.payoff_post
-            else:
-                applied, applied_payoff = cert.alpha_star, cert.payoff
             rho, rho_post, optimal = cert.rho, cert.rho_post, cert.optimal
 
         oracle_payoff = oracle_ratio = None

@@ -65,6 +65,15 @@ def is_totally_unimodular(Q, max_minors: int = 200000) -> bool:
     return True
 
 
+def integer_array(values, name: str) -> np.ndarray:
+    """``values`` rounded to integers; ConstraintError when any entry is
+    further than 1e-9 from an integer."""
+    a = np.asarray(values, dtype=float)
+    if not np.allclose(a, np.round(a), atol=1e-9):
+        raise ConstraintError(f"{name} must be integer")
+    return np.round(a)
+
+
 @dataclass(frozen=True)
 class L0Band:
     """k_min <= ||alpha||_0 <= k_max."""
@@ -94,12 +103,8 @@ class TuRows:
         b = np.asarray(self.rhs, dtype=float).reshape(-1)
         if A.ndim != 2 or A.shape[0] != b.size:
             raise ConstraintError("rows and rhs shapes do not match")
-        if not np.allclose(A, np.round(A), atol=1e-9):
-            raise ConstraintError("TU rows must be integer")
-        if not np.allclose(b, np.round(b), atol=1e-9):
-            raise ConstraintError("TU right-hand side must be integer")
-        object.__setattr__(self, "rows", np.round(A))
-        object.__setattr__(self, "rhs", np.round(b))
+        object.__setattr__(self, "rows", integer_array(A, "TU rows"))
+        object.__setattr__(self, "rhs", integer_array(b, "TU right-hand side"))
         if A.shape[0] <= _TU_CHECK_LIMIT and A.shape[1] <= _TU_CHECK_LIMIT:
             if not is_totally_unimodular(self.rows):
                 raise ConstraintError("row matrix is not totally unimodular")
@@ -246,10 +251,21 @@ def solve_knapsack(grad: Gradient, weights, capacity: float) -> np.ndarray:
     return alpha
 
 
-def _binary_chunk(start: int, stop: int, m: int) -> np.ndarray:
+def binary_rows(start: int, stop: int, m: int) -> np.ndarray:
+    """The binary m-vectors with codes start..stop-1 as float rows, in
+    lexicographic order: entry 0 is the code's most significant bit.
+    Reversing the columns gives the little-endian reading of the same codes."""
     codes = np.arange(start, stop, dtype=np.int64)[:, None]
     shifts = m - 1 - np.arange(m, dtype=np.int64)
     return ((codes >> shifts) & 1).astype(float)
+
+
+def binary_chunks(m: int):
+    """Yield all 2^m binary vectors as row chunks in lexicographic order, at
+    most 2^16 rows per chunk so the full table is never built."""
+    total = 1 << m
+    for start in range(0, total, _ENUM_CHUNK):
+        yield binary_rows(start, min(start + _ENUM_CHUNK, total), m)
 
 
 def solve_bruteforce(
@@ -271,10 +287,7 @@ def solve_bruteforce(
         raise EnumerationRefusedError(f"refusing exhaustive search for m = {m} > {_BRUTE_FORCE_LIMIT}")
     best_val = -np.inf
     best_alpha = None
-    total = 1 << m
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        A = _binary_chunk(start, stop, m)
+    for A in binary_chunks(m):
         mask = (
             np.ones(A.shape[0], dtype=bool)
             if constraints is None

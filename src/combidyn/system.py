@@ -25,11 +25,17 @@ SCHEMES = ("euler", "rk4")
 _BOX_OVERHANG = 1e-2
 
 
-def as_binary(alpha, m: Optional[int] = None) -> np.ndarray:
-    """Validate and return a binary decision vector as a float array."""
+def decision_vector(alpha, m: Optional[int] = None) -> np.ndarray:
+    """A decision as a flat float array, checked to have length m when given."""
     a = np.asarray(alpha, dtype=float).reshape(-1)
     if m is not None and a.size != m:
         raise DimensionError(f"decision vector has length {a.size}, expected {m}")
+    return a
+
+
+def as_binary(alpha, m: Optional[int] = None) -> np.ndarray:
+    """Validate and return a binary decision vector as a float array."""
+    a = decision_vector(alpha, m)
     if not np.all((a == 0.0) | (a == 1.0)):
         raise ValueError("decision vector entries must be exactly 0 or 1")
     return a
@@ -144,11 +150,7 @@ def _check_grid(spec: SystemSpec, grid: TimeGrid) -> None:
 
 
 def _check_decision(spec: SystemSpec, alpha) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float).reshape(-1)
-    if a.size != spec.decision_dim:
-        raise DimensionError(
-            f"decision vector has length {a.size}, expected {spec.decision_dim}"
-        )
+    a = decision_vector(alpha, spec.decision_dim)
     if spec.relaxable:
         if np.any(a < -_BOX_OVERHANG) or np.any(a > 1.0 + _BOX_OVERHANG):
             raise ValueError("relaxed decision entries must lie in the unit box")
@@ -246,12 +248,7 @@ def payoff_functional(spec: SystemSpec, traj: Trajectory, beta) -> float:
 def evaluate_payoff(spec: SystemSpec, traj: Trajectory, alpha) -> float:
     """Trajectory payoff: trapezoid rule on the shared grid plus the
     terminal payoff at the final knot."""
-    a = np.asarray(alpha, dtype=float).reshape(-1)
-    if a.size != spec.decision_dim:
-        raise DimensionError(
-            f"decision vector has length {a.size}, expected {spec.decision_dim}"
-        )
-    return payoff_functional(spec, traj, a)
+    return payoff_functional(spec, traj, decision_vector(alpha, spec.decision_dim))
 
 
 def affine_state_model(spec: SystemSpec, grid: TimeGrid, scheme: str = "euler"):

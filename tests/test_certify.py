@@ -3,6 +3,7 @@ import pytest
 
 from combidyn import (
     DimensionError,
+    Gradient,
     Knapsack,
     L0Band,
     TimeGrid,
@@ -13,16 +14,19 @@ from combidyn import (
     check_submodular,
     evaluate_payoff,
     integrate,
+    monotonicity_report,
     nonstandard_derivative,
     reformulate,
     solve_bruteforce,
     solve_l0,
     standard_derivative,
+    submodularity_report,
 )
 
 from support import (
     concave_quadratic_oracle,
     coupled_square_system,
+    exp_additive_system,
     random_concave_instance,
     scalar_affine_system,
 )
@@ -219,3 +223,35 @@ def test_modular_payoff_is_submodular_and_monotone():
     assert check_submodular(payoff, 3) is True
     assert check_monotone(payoff, 3) is True
     assert check_monotone(lambda a: -float(np.sum(a)), 3) is False
+
+
+def test_set_function_witnesses_are_little_endian():
+    # Entry j of a witness is bit j of its code in the payoff table.
+    assert submodularity_report(lambda a: a[0] * a[1] * a[2], 3).witness.tolist() == [0, 0, 1]
+    mono = monotonicity_report(lambda a: -a[0] * (1 - a[1]) * (1 + a[2]), 3)
+    assert mono.witness.tolist() == [0, 0, 1]
+
+
+def test_concavity_worst_alpha_is_first_in_lexicographic_order():
+    # Four points tie for the worst violation; the report keeps the first in
+    # lexicographic (entry 0 most significant) order.
+    spec = exp_additive_system(m=3)
+    grad = Gradient("standard", np.zeros(3), np.zeros(3), 0.0)
+    report = check_concavity_inequality(
+        spec, np.zeros(3), grad, _grid(spec, 11), payoff_fn=lambda a: abs(a[0] - a[2])
+    )
+    assert not report.holds and report.checked == 8
+    assert report.worst_violation == 1.0
+    assert report.worst_alpha.tolist() == [0, 0, 1]
+
+
+def test_applied_decision_falls_back_to_pick_at_infeasible_base():
+    spec = scalar_affine_system()
+    grid = _grid(spec)
+    abar = np.zeros(1)
+    grad = standard_derivative(spec, abar, grid, "rk4")
+    cert = certify(spec, abar, grad, np.ones(1), grid, "rk4")
+    alpha, payoff = cert.applied(True)
+    assert np.array_equal(alpha, cert.alpha_post) and payoff == cert.payoff_post
+    alpha, payoff = cert.applied(False)
+    assert np.array_equal(alpha, cert.alpha_star) and payoff == cert.payoff

@@ -206,11 +206,16 @@ def test_derivative_both_flag(small_scenario, tmp_path):
     assert len(_read_csv(out)) == 3 * 10
 
 
-def test_thread_cap_env(small_scenario, tmp_path, monkeypatch):
-    out1 = str(tmp_path / "serial.csv")
-    out2 = str(tmp_path / "pooled.csv")
-    monkeypatch.setenv("COMBIDYN_MAX_WORKERS", "1")
-    assert _run(["sweep-linearization", "--scenario", small_scenario, "--grid", "51", "--samples", "4", "--out", out1]) == 0
-    monkeypatch.setenv("COMBIDYN_MAX_WORKERS", "3")
-    assert _run(["sweep-linearization", "--scenario", small_scenario, "--grid", "51", "--samples", "4", "--out", out2]) == 0
-    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+def test_sampling_commands_deterministic_bytes(small_scenario, tmp_path):
+    for command in ("sweep-linearization", "compare-derivatives"):
+        outs = [str(tmp_path / f"{command}-{n}.csv") for n in (1, 2)]
+        for out in outs:
+            assert _run(
+                [command, "--scenario", small_scenario, "--grid", "51", "--samples", "4", "--out", out]
+            ) == 0
+        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+
+
+def test_grid_below_two_points_exit_code(small_scenario, capsys):
+    assert _run(["optimize", "--scenario", small_scenario, "--grid", "1"]) == 2
+    assert "DimensionError" in capsys.readouterr().err

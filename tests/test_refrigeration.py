@@ -5,7 +5,9 @@ import pytest
 
 from combidyn import (
     ConstraintError,
+    DimensionError,
     TimeGrid,
+    TransientConfig,
     build_etp_system,
     build_transient_system,
     check_monotone,
@@ -336,3 +338,33 @@ def test_receding_horizon_both_kinds():
     sc = default_scenario(10, seed=2, num_steps=2)
     results = run_receding_horizon(sc, kind="both", grid_points=101, scheme="rk4")
     assert all(res.kind in ("standard", "nonstandard") for res in results)
+
+
+def test_both_kinds_compare_applied_payoffs_at_infeasible_base():
+    # The all-ON base point breaks the power cap, so each kind applies its
+    # solver pick rather than the post-processed best of pick and base; "both"
+    # must choose by that applied payoff, not by payoff_post (which here is
+    # the infeasible base's payoff for both kinds).
+    sc = default_scenario(20, seed=0, transient=True, num_steps=1)
+    sc = dataclasses.replace(sc, params=dataclasses.replace(sc.params, x0=np.full(20, 3.0)))
+    run = dict(
+        linearization=lambda k, prev, m, rng: np.ones(m),
+        solver="l0",
+        grid_points=201,
+        scheme="rk4",
+    )
+    (std,) = run_receding_horizon(sc, kind="standard", **run)
+    (ns,) = run_receding_horizon(sc, kind="nonstandard", **run)
+    (both,) = run_receding_horizon(sc, kind="both", **run)
+    assert ns.payoff > std.payoff
+    assert both.kind == "nonstandard"
+    assert both.payoff == ns.payoff
+    assert np.array_equal(both.alpha, ns.alpha)
+
+
+def test_scenario_rejects_duplicate_transient_members():
+    sc = default_scenario(10, seed=2, num_steps=2, transient=True)
+    with pytest.raises(ConstraintError, match="unique"):
+        dataclasses.replace(sc, transient=TransientConfig(sc.transient.xi, (0, 0)))
+    with pytest.raises(DimensionError, match="out of range"):
+        dataclasses.replace(sc, transient=TransientConfig(sc.transient.xi, (10,)))
