@@ -2,7 +2,9 @@
 
 The running example is x' = x + alpha_1 on [0, 1] with running payoff r = x:
 everything has a closed form in e, so we can watch the fixed-step schemes and
-the backward costate pass converge to known numbers.
+the backward costate pass converge to known numbers.  The callbacks follow
+the package's broadcasting contract: x is (..., n) and a is (..., m), so the
+same lambdas serve one point or every knot of a path in one call.
 """
 
 import numpy as np
@@ -22,8 +24,8 @@ spec = SystemSpec(
     decision_dim=1,
     initial_state=[0.0],
     horizon=1.0,
-    vector_field=lambda x, a, t: x + a[0],
-    running_payoff=lambda x, a, t: float(x[0]),
+    vector_field=lambda x, a, t: x + a[..., :1],
+    running_payoff=lambda x, a, t: x[..., 0],
     terminal_payoff=lambda x: 0.0,
     jac_f_x=lambda x, a, t: np.array([[1.0]]),
     jac_r_x=lambda x, a, t: np.array([1.0]),

@@ -16,11 +16,10 @@ import numpy as np
 from combidyn import (
     L0Band,
     TimeGrid,
-    evaluate_payoff,
     finite_difference_nonstandard,
     finite_difference_standard,
-    integrate,
     nonstandard_derivative,
+    payoff_function,
     reformulate,
     solve_bruteforce,
     solve_l0,
@@ -32,13 +31,15 @@ spec_kwargs = dict(
     decision_dim=2,
     initial_state=[1.0],
     horizon=1.0,
-    vector_field=lambda x, a, t: x + a[0] ** 3 + 2.0 * a[1],
-    running_payoff=lambda x, a, t: float(x[0]) ** 2,
+    vector_field=lambda x, a, t: x + a[..., :1] ** 3 + 2.0 * a[..., 1:],
+    running_payoff=lambda x, a, t: x[..., 0] ** 2,
     terminal_payoff=lambda x: 0.0,
     jac_f_x=lambda x, a, t: np.array([[1.0]]),
-    jac_r_x=lambda x, a, t: np.array([2.0 * x[0]]),
+    jac_r_x=lambda x, a, t: 2.0 * x,
     jac_q_x=lambda x: np.array([0.0]),
-    jac_f_alpha=lambda x, a, t: np.array([[3.0 * a[0] ** 2, 2.0]]),
+    jac_f_alpha=lambda x, a, t: np.stack(
+        [3.0 * a[..., 0] ** 2, np.full(a.shape[:-1], 2.0)], axis=-1
+    )[..., None, :],
     jac_r_alpha=lambda x, a, t: np.zeros(2),
     relaxable=True,
 )
@@ -66,7 +67,7 @@ print()
 print("=== solving 'at most one bit on' with each gradient ===")
 pick_std = solve_l0(g_std, 0, 1)
 pick_ns = solve_l0(g_ns, 0, 1)
-payoff = lambda a: evaluate_payoff(spec, integrate(spec, a, grid, "rk4"), a)
+payoff = payoff_function(spec, grid, "rk4")  # decision rows (..., 2) -> payoffs (...)
 best, best_val = solve_bruteforce(payoff, L0Band(0, 1), 2)
 print(f"  standard pick    : {pick_std.astype(int)}  payoff {payoff(pick_std):.5f}")
 print(f"  nonstandard pick : {pick_ns.astype(int)}  payoff {payoff(pick_ns):.5f}")

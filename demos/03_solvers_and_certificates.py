@@ -18,8 +18,9 @@ from combidyn import (
     check_concavity_inequality,
     check_monotone,
     check_submodular,
-    evaluate_payoff,
-    integrate,
+    matvec,
+    payoff_function,
+    rowdot,
     solve_bruteforce,
     solve_knapsack,
     solve_l0,
@@ -40,8 +41,8 @@ spec = SystemSpec(
     decision_dim=m,
     initial_state=0.5 * rng.uniform(-1.0, 1.0, n),
     horizon=0.5,
-    vector_field=lambda x, a, t: A @ x + B @ a,
-    running_payoff=lambda x, a, t: float(-w @ (x - ctr) ** 2 + d @ a),
+    vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a),
+    running_payoff=lambda x, a, t: rowdot((x - ctr) ** 2, -w) + rowdot(a, d),
     terminal_payoff=lambda x: 0.0,
     jac_f_x=lambda x, a, t: A,
     jac_r_x=lambda x, a, t: -2.0 * w * (x - ctr),
@@ -53,7 +54,7 @@ spec = SystemSpec(
 grid = TimeGrid(0.5, 201)
 abar = np.zeros(m)
 grad = standard_derivative(spec, abar, grid, "rk4")
-payoff = lambda a: evaluate_payoff(spec, integrate(spec, a, grid, "rk4"), a)
+payoff = payoff_function(spec, grid, "rk4")  # decision rows (..., m) -> payoffs (...)
 
 print("=== gradient at the all-zeros base ===")
 print(" ", np.round(grad.entries, 4))
@@ -92,9 +93,7 @@ print("=== greedy knapsack (0.5-approximate in value) ===")
 weights = rng.uniform(0.5, 2.0, m)
 cap = 0.4 * float(weights.sum())
 pick_kn = solve_knapsack(grad, weights, cap)
-_, opt_kn_v = solve_bruteforce(
-    None, Knapsack(weights, cap), m, batch_objective=lambda M: M @ grad.entries
-)
+_, opt_kn_v = solve_bruteforce(lambda M: M @ grad.entries, Knapsack(weights, cap), m)
 print(f"  pick {pick_kn.astype(int)}  linearized value {grad.entries @ pick_kn:.4f}"
       f"  vs exact knapsack {opt_kn_v:.4f}")
 

@@ -32,9 +32,11 @@ from .system import (
     integrate,
     integrate_variational,
     is_binary,
+    matvec,
+    payoff_function,
     payoff_functional,
+    rowdot,
     trapezoid_weights,
-    unit_direction,
 )
 from .adjoint import hamiltonian, solve_adjoint
 from .gradient import (

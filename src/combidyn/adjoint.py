@@ -9,7 +9,9 @@ and weighs how state perturbations at time t propagate into the trajectory
 payoff.  The pass reads the state from the stored forward grid (no dense
 output, no re-integration) and mirrors the forward scheme in time; rk4
 midpoint stages take the state as the mean of the two adjacent stored
-samples, which keeps the pass second order or better.
+samples, which keeps the pass second order or better.  The state Jacobians
+do not depend on the costate, so each is evaluated in one call over all
+knots (and midpoints) before the backward sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .system import (
     Trajectory,
     _check_grid,
     _check_scheme,
+    broadcast_result,
     decision_vector,
 )
 
@@ -52,43 +55,44 @@ def solve_adjoint(
     if X.shape[1] != spec.state_dim:
         raise DimensionError("forward trajectory does not match the system's state dimension")
 
-    jfx = spec.jac_f_x
-    jrx = spec.jac_r_x
+    n = spec.state_dim
     times = forward.grid.times
     h = forward.grid.step
     n_pts = forward.grid.num_points
 
-    def rate(x, lam, t):
+    def jacobians(x, t):
+        # Views, not copies: a constant (n, n) Jacobian stays one matrix.
+        jf = broadcast_result(spec.jac_f_x(x, a, t), x.shape[:-1] + (n, n), "jac_f_x")
+        jr = broadcast_result(spec.jac_r_x(x, a, t), x.shape, "jac_r_x")
+        return jf, jr
+
+    def rate(jf, jr, lam):
         # d lam / d tau with tau = T - t, i.e. the right-hand side of the
         # costate law read backward in time.
-        return np.asarray(jfx(x, a, t), dtype=float).T @ lam + np.asarray(
-            jrx(x, a, t), dtype=float
-        ).reshape(-1)
+        return jf.T @ lam + jr
 
     out = np.empty_like(X)
     lam = np.asarray(spec.jac_q_x(X[-1]), dtype=float).reshape(-1)
-    if lam.size != spec.state_dim:
+    if lam.size != n:
         raise DimensionError("terminal payoff gradient has the wrong length")
     out[-1] = lam
+    JF, JR = jacobians(X, times)
 
     if scheme == "euler":
         for k in range(n_pts - 2, -1, -1):
-            lam = lam + h * rate(X[k + 1], lam, times[k + 1])
+            lam = lam + h * rate(JF[k + 1], JR[k + 1], lam)
             if not np.all(np.isfinite(lam)):
                 raise AdjointDivergedError(k)
             out[k] = lam
     else:  # rk4 mirrored in time
         half = 0.5 * h
         sixth = h / 6.0
+        MF, MR = jacobians(0.5 * (X[:-1] + X[1:]), times[1:] - half)
         for k in range(n_pts - 2, -1, -1):
-            x_hi = X[k + 1]
-            x_lo = X[k]
-            x_mid = 0.5 * (x_lo + x_hi)
-            t_hi = times[k + 1]
-            k1 = rate(x_hi, lam, t_hi)
-            k2 = rate(x_mid, lam + half * k1, t_hi - half)
-            k3 = rate(x_mid, lam + half * k2, t_hi - half)
-            k4 = rate(x_lo, lam + h * k3, times[k])
+            k1 = rate(JF[k + 1], JR[k + 1], lam)
+            k2 = rate(MF[k], MR[k], lam + half * k1)
+            k3 = rate(MF[k], MR[k], lam + half * k2)
+            k4 = rate(JF[k], JR[k], lam + h * k3)
             lam = lam + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             if not np.all(np.isfinite(lam)):
                 raise AdjointDivergedError(k)

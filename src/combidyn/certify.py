@@ -29,7 +29,15 @@ import numpy as np
 from .errors import DimensionError, EnumerationRefusedError
 from .gradient import Gradient
 from .solvers import binary_chunks, binary_rows
-from .system import SystemSpec, TimeGrid, as_binary, evaluate_payoff, integrate
+from .system import (
+    SystemSpec,
+    TimeGrid,
+    as_binary,
+    evaluate_payoff,
+    integrate,
+    payoff_function,
+    rowdot,
+)
 
 _ZERO_GAIN_TOL = 1e-12
 _CONCAVITY_LIMIT = 20
@@ -94,33 +102,16 @@ def certify(
     j_star = evaluate_payoff(spec, integrate(spec, astar, grid, scheme), astar)
     gain = float(grad.entries @ (astar - abar))
 
-    if abs(gain) < _ZERO_GAIN_TOL:
-        better = astar if j_star >= j_base else abar
-        j_better = max(j_star, j_base)
-        return CertifiedSolution(
-            alpha_star=astar,
-            kind=grad.kind,
-            payoff=j_star,
-            rho=None,
-            optimal=True,
-            rho_post=1.0,
-            alpha_post=better,
-            payoff_post=j_better,
-            base_payoff=j_base,
-        )
-
-    rho = (j_star - j_base) / gain
-    if j_star >= j_base:
-        alpha_post, payoff_post = astar, j_star
-    else:
-        alpha_post, payoff_post = abar, j_base
+    optimal = abs(gain) < _ZERO_GAIN_TOL
+    rho = None if optimal else (j_star - j_base) / gain
+    alpha_post, payoff_post = (astar, j_star) if j_star >= j_base else (abar, j_base)
     return CertifiedSolution(
         alpha_star=astar,
         kind=grad.kind,
         payoff=j_star,
         rho=rho,
-        optimal=False,
-        rho_post=max(rho, 0.0),
+        optimal=optimal,
+        rho_post=1.0 if optimal else max(rho, 0.0),
         alpha_post=alpha_post,
         payoff_post=payoff_post,
         base_payoff=j_base,
@@ -141,16 +132,17 @@ def check_concavity_inequality(
     grad: Gradient,
     grid: TimeGrid,
     scheme: str = "euler",
-    payoff_fn: Optional[Callable[[np.ndarray], float]] = None,
+    payoff_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> ConcavityReport:
     """Exhaustively verify  g^T (alpha - base) >= J(alpha) - J(base)  over all
     binary vectors, the condition under which the certificate is valid.
 
-    Costs one integration per binary point (2^m total, guarded at m = 20);
-    ``payoff_fn`` may replace the integrations when the caller has a faster
-    exact evaluation of the same discrete payoff.  The tolerance is relative
-    to the payoff magnitude so integration roundoff does not flag spurious
-    violations.
+    Costs one integration per binary point (2^m total, guarded at m = 20),
+    batched by ``payoff_function``; ``payoff_fn`` may replace the
+    integrations when the caller has a faster exact evaluation of the same
+    discrete payoff, and maps decision rows (..., m) to payoffs (...).  The
+    tolerance is relative to the payoff magnitude so integration roundoff
+    does not flag spurious violations.
     """
     m = spec.decision_dim
     if m > _CONCAVITY_LIMIT:
@@ -159,31 +151,33 @@ def check_concavity_inequality(
         )
     abar = as_binary(alpha_bar, spec.decision_dim)
     if payoff_fn is None:
-        payoff_fn = lambda a: evaluate_payoff(spec, integrate(spec, a, grid, scheme), a)
+        payoff_fn = payoff_function(spec, grid, scheme)
 
     worst_violation = -np.inf
     worst_alpha = abar
     holds = True
     for rows in binary_chunks(m):
-        for alpha in rows:
-            j_alpha = float(payoff_fn(alpha))
-            lhs = float(grad.entries @ (alpha - abar))
-            violation = (j_alpha - grad.base_payoff) - lhs
-            if violation > worst_violation:
-                worst_violation = violation
-                worst_alpha = alpha.copy()
-            if violation > 1e-7 * (1.0 + abs(j_alpha)):
-                holds = False
+        j_alpha = np.asarray(payoff_fn(rows), dtype=float)
+        violation = (j_alpha - grad.base_payoff) - rowdot(rows - abar, grad.entries)
+        k = int(np.argmax(violation))  # the first worst, in lexicographic order
+        if violation[k] > worst_violation:
+            worst_violation = float(violation[k])
+            worst_alpha = rows[k].copy()
+        holds = holds and not np.any(violation > 1e-7 * (1.0 + np.abs(j_alpha)))
     return ConcavityReport(
         holds=holds, worst_alpha=worst_alpha, worst_violation=worst_violation, checked=1 << m
     )
 
 
-def _payoff_table(payoff: Callable[[np.ndarray], float], m: int) -> np.ndarray:
+def _payoff_table(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> np.ndarray:
     """Payoff at every subset, indexed by the little-endian bit code (bit j
     of the code is entry j): the lexicographic rows read column-reversed."""
-    little = (a for rows in binary_chunks(m) for a in np.ascontiguousarray(rows[:, ::-1]))
-    return np.fromiter((float(payoff(a)) for a in little), float, count=1 << m)
+    if m > _SET_FUNCTION_LIMIT:
+        raise EnumerationRefusedError(
+            f"refusing 2^{m} payoff evaluations (limit m = {_SET_FUNCTION_LIMIT})"
+        )
+    little = (np.ascontiguousarray(rows[:, ::-1]) for rows in binary_chunks(m))
+    return np.concatenate([np.asarray(payoff(rows), dtype=float) for rows in little])
 
 
 @dataclass(frozen=True)
@@ -195,16 +189,12 @@ class SetFunctionReport:
     witness: np.ndarray
 
 
-def submodularity_report(payoff: Callable[[np.ndarray], float], m: int) -> SetFunctionReport:
+def submodularity_report(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> SetFunctionReport:
     """Diminishing returns over all set pairs: adding an element to a smaller
     set helps at least as much as adding it to a larger one.  Equivalent to
     all pairwise second differences being nonpositive, which is what is
     enumerated here; the witness is the base set of the worst positive
     second difference."""
-    if m > _SET_FUNCTION_LIMIT:
-        raise EnumerationRefusedError(
-            f"refusing 2^{m} payoff evaluations (limit m = {_SET_FUNCTION_LIMIT})"
-        )
     table = _payoff_table(payoff, m)
     tol = 1e-9 * (1.0 + float(np.abs(table).max()))
     codes = np.arange(1 << m)
@@ -225,17 +215,13 @@ def submodularity_report(payoff: Callable[[np.ndarray], float], m: int) -> SetFu
     return SetFunctionReport(holds=bool(worst <= tol), worst_gap=worst, witness=witness)
 
 
-def check_submodular(payoff: Callable[[np.ndarray], float], m: int) -> bool:
+def check_submodular(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> bool:
     return submodularity_report(payoff, m).holds
 
 
-def monotonicity_report(payoff: Callable[[np.ndarray], float], m: int) -> SetFunctionReport:
+def monotonicity_report(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> SetFunctionReport:
     """Adding elements never decreases the payoff (checked over single-element
     additions, which suffices along subset chains)."""
-    if m > _SET_FUNCTION_LIMIT:
-        raise EnumerationRefusedError(
-            f"refusing 2^{m} payoff evaluations (limit m = {_SET_FUNCTION_LIMIT})"
-        )
     table = _payoff_table(payoff, m)
     tol = 1e-9 * (1.0 + float(np.abs(table).max()))
     codes = np.arange(1 << m)
@@ -253,5 +239,5 @@ def monotonicity_report(payoff: Callable[[np.ndarray], float], m: int) -> SetFun
     return SetFunctionReport(holds=bool(worst <= tol), worst_gap=worst, witness=witness)
 
 
-def check_monotone(payoff: Callable[[np.ndarray], float], m: int) -> bool:
+def check_monotone(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> bool:
     return monotonicity_report(payoff, m).holds

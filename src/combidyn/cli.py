@@ -35,15 +35,15 @@ from .errors import (
 from .gradient import nonstandard_derivative, standard_derivative
 from .refrigeration import (
     Scenario,
-    quadratic_payoff_model,
     run_receding_horizon,
+    slot_payoff,
     solve_linearized,
     step_constraints,
     step_system,
 )
 from .scenario_io import parse_scenario
 from .solvers import is_feasible
-from .system import TimeGrid, evaluate_payoff, integrate
+from .system import TimeGrid
 
 _CONFIG_ERRORS = (ScenarioError, ConstraintError, DimensionError, EnumerationRefusedError)
 
@@ -173,14 +173,6 @@ def _first_slot(config: argparse.Namespace, scenario: Scenario):
     return spec, con, band, grid
 
 
-def _slot_payoff_fn(config: argparse.Namespace, scenario: Scenario, spec, grid):
-    """Exact discrete slot payoff; quadratic reduction for linear fleets."""
-    if scenario.transient is None:
-        model = quadratic_payoff_model(scenario.params, scenario.step_hours, grid, config.scheme)
-        return model.value
-    return lambda a: evaluate_payoff(spec, integrate(spec, a, grid, config.scheme), a)
-
-
 def _single_kind(config: argparse.Namespace) -> str:
     """The derivative for commands that take one: ``both`` means standard."""
     return "nonstandard" if config.derivative == "nonstandard" else "standard"
@@ -262,7 +254,7 @@ def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
     spec, _con, _band, grid = _first_slot(config, scenario)
     abar = np.zeros(scenario.params.m)
     grad = _derive(_single_kind(config), spec, abar, grid, config.scheme)
-    payoff_fn = _slot_payoff_fn(config, scenario, spec, grid)
+    payoff_fn = slot_payoff(scenario, spec, grid, config.scheme)
     report = check_concavity_inequality(spec, abar, grad, grid, config.scheme, payoff_fn=payoff_fn)
     verdict = "pass" if report.holds else "FAIL"
     lines = [
@@ -274,7 +266,7 @@ def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
 
 def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
     spec, _con, _band, grid = _first_slot(config, scenario)
-    payoff_fn = _slot_payoff_fn(config, scenario, spec, grid)
+    payoff_fn = slot_payoff(scenario, spec, grid, config.scheme)
     sub = submodularity_report(payoff_fn, scenario.params.m)
     mono = monotonicity_report(payoff_fn, scenario.params.m)
     lines = [
@@ -284,6 +276,13 @@ def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
         f"(worst drop {_fnum(mono.worst_gap)} at {_bits(mono.witness)})",
     ]
     _emit(config, lines)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 _DISPATCH = {
@@ -315,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--format", default="csv", choices=("csv", "report"))
-        p.add_argument("--samples", type=int, default=100, help="sample count for sweeps")
+        p.add_argument("--samples", type=positive_int, default=100, help="sample count for sweeps")
     return parser
 
 

@@ -14,8 +14,10 @@ Two derivative concepts are provided:
   down, with the quotient's sign matching).  Needs no smoothness in the
   decision and never evaluates off binary points.
 
-Both cost one forward + one costate solve plus O(m) work per knot.  For
-decision-affine systems the two derivatives coincide.
+Both cost one forward + one costate solve plus O(m) work per knot, done in
+one broadcast callback call over all knots (and, for the convex-combination
+derivative, all m flips).  For decision-affine systems the two derivatives
+coincide.
 """
 
 from __future__ import annotations
@@ -24,19 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotRelaxableError
+from .errors import NotRelaxableError
 from .adjoint import solve_adjoint
 from .system import (
     SystemSpec,
     TimeGrid,
     as_binary,
+    broadcast_result,
     evaluate_payoff,
     evaluate_variational_payoff,
     integrate,
     integrate_variational,
-    payoff_functional,
+    matvec,
+    rowdot,
     trapezoid_weights,
-    unit_direction,
 )
 
 DERIVATIVE_KINDS = ("standard", "nonstandard")
@@ -68,16 +71,14 @@ class Gradient:
             raise ValueError("gradient entries must be finite")
 
 
-def _fd_jac_alpha(fn, x, alpha, t, m, out_dim):
-    """Central differences of fn(x, ., t) in the decision argument."""
-    cols = np.empty((out_dim, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = _JAC_FD_STEP
-        hi = np.asarray(fn(x, alpha + e, t), dtype=float)
-        lo = np.asarray(fn(x, alpha - e, t), dtype=float)
-        cols[:, i] = (hi - lo) / (2.0 * _JAC_FD_STEP)
-    return cols
+def _fd_jac_alpha(fn, X, alpha, times):
+    """Central differences of fn(x, ., t) in the decision argument at every
+    knot: the 2m probes alpha +- h e_i are stacked as decisions, so the
+    result is (N, m, ...) with the decision axis ahead of fn's output axes."""
+    steps = _JAC_FD_STEP * np.eye(alpha.size)
+    hi = fn(X[:, None], alpha + steps, times[:, None])
+    lo = fn(X[:, None], alpha - steps, times[:, None])
+    return (np.asarray(hi, dtype=float) - lo) / (2.0 * _JAC_FD_STEP)
 
 
 def standard_derivative(
@@ -96,50 +97,44 @@ def standard_derivative(
     forward = integrate(spec, abar, grid, scheme)
     costate = solve_adjoint(spec, abar, forward, scheme)
 
-    m = spec.decision_dim
-    f, r = spec.vector_field, spec.running_payoff
-    jfa, jra = spec.jac_f_alpha, spec.jac_r_alpha
+    n, m, N = spec.state_dim, spec.decision_dim, grid.num_points
     times = grid.times
     X, L = forward.values, costate.values
-
-    integrand = np.empty((grid.num_points, m))
-    for k in range(grid.num_points):
-        x, lam, t = X[k], L[k], times[k]
-        if jfa is not None:
-            Fa = np.asarray(jfa(x, abar, t), dtype=float)
-        else:
-            Fa = _fd_jac_alpha(f, x, abar, t, m, spec.state_dim)
-        if jra is not None:
-            Ra = np.asarray(jra(x, abar, t), dtype=float).reshape(-1)
-        else:
-            Ra = _fd_jac_alpha(lambda xx, aa, tt: [r(xx, aa, tt)], x, abar, t, m, 1)[0]
-        if Fa.shape != (spec.state_dim, m) or Ra.size != m:
-            raise DimensionError("decision-Jacobian contract returned a wrong shape")
-        integrand[k] = Fa.T @ lam + Ra
+    if spec.jac_f_alpha is not None:
+        Fa = spec.jac_f_alpha(X, abar, times)
+    else:
+        Fa = np.swapaxes(_fd_jac_alpha(spec.vector_field, X, abar, times), -1, -2)
+    if spec.jac_r_alpha is not None:
+        Ra = spec.jac_r_alpha(X, abar, times)
+    else:
+        Ra = _fd_jac_alpha(spec.running_payoff, X, abar, times)
+    Fa = broadcast_result(Fa, (N, n, m), "jac_f_alpha")
+    Ra = broadcast_result(Ra, (N, m), "jac_r_alpha")
+    # Row k is Fa[k].T @ lam[k] + Ra[k], the same BLAS call per knot.
+    integrand = (L[:, None, :] @ Fa)[:, 0, :] + Ra
 
     entries = trapezoid_weights(grid) @ integrand
     base_payoff = evaluate_payoff(spec, forward, abar)
     return Gradient("standard", abar, entries, base_payoff)
 
 
-def costate_pairing(spec: SystemSpec, alpha_bar, alpha_to, forward, costate) -> float:
+def costate_pairing(spec: SystemSpec, alpha_bar, alpha_to, forward, costate):
     """Quadrature of (f(x, to) - f(x, bar))^T lam + r(x, to) - r(x, bar).
 
     This is the value the variational difference quotient converges to as
     the blend weight goes to zero, for an arbitrary target decision; the
     convex-combination derivative is its single-bit-flip specialization.
+    A (B, m) stack of targets gives B values in one pass.
     """
     abar = as_binary(alpha_bar, spec.decision_dim)
     ato = as_binary(alpha_to, spec.decision_dim)
     f, r = spec.vector_field, spec.running_payoff
     times = forward.grid.times
     X, L = forward.values, costate.values
-    vals = np.empty(forward.grid.num_points)
-    for k in range(forward.grid.num_points):
-        x, lam, t = X[k], L[k], times[k]
-        df = np.asarray(f(x, ato, t), dtype=float) - np.asarray(f(x, abar, t), dtype=float)
-        vals[k] = float(df @ lam) + float(r(x, ato, t)) - float(r(x, abar, t))
-    return float(trapezoid_weights(forward.grid) @ vals)
+    to = ato[..., None, :]  # targets on their own axis ahead of the knots
+    df = f(X, to, times) - f(X, abar, times)
+    vals = rowdot(df, L) + r(X, to, times) - r(X, abar, times)
+    return rowdot(vals, trapezoid_weights(forward.grid))
 
 
 def nonstandard_derivative(
@@ -155,31 +150,9 @@ def nonstandard_derivative(
     forward = integrate(spec, abar, grid, scheme)
     costate = solve_adjoint(spec, abar, forward, scheme)
 
-    m = spec.decision_dim
-    f, r = spec.vector_field, spec.running_payoff
-    times = grid.times
-    X, L = forward.values, costate.values
-    n_pts = grid.num_points
-
-    f_base = np.empty((n_pts, spec.state_dim))
-    r_base = np.empty(n_pts)
-    for k in range(n_pts):
-        f_base[k] = f(X[k], abar, times[k])
-        r_base[k] = r(X[k], abar, times[k])
-
-    w = trapezoid_weights(grid)
-    entries = np.empty(m)
-    vals = np.empty(n_pts)
-    for i in range(m):
-        sign = 1.0 if abar[i] == 0.0 else -1.0
-        a_to = abar.copy()
-        a_to[i] = 1.0 - abar[i]
-        for k in range(n_pts):
-            x, lam, t = X[k], L[k], times[k]
-            df = np.asarray(f(x, a_to, t), dtype=float) - f_base[k]
-            vals[k] = float(df @ lam) + float(r(x, a_to, t)) - r_base[k]
-        entries[i] = sign * float(w @ vals)
-
+    flips = np.abs(abar - np.eye(abar.size))  # row i is abar with bit i flipped
+    sign = np.where(abar == 0.0, 1.0, -1.0)
+    entries = sign * costate_pairing(spec, abar, flips, forward, costate)
     base_payoff = evaluate_payoff(spec, forward, abar)
     return Gradient("nonstandard", abar, entries, base_payoff)
 
@@ -194,49 +167,39 @@ def reformulate(spec: SystemSpec) -> SystemSpec:
     differences).  The relaxation-based derivative of the surrogate equals
     the convex-combination derivative of the original under additivity.
     """
-    m = spec.decision_dim
-    zero = np.zeros(m)
-    units = [unit_direction(i, m) for i in range(m)]
-    f, r = spec.vector_field, spec.running_payoff
-    jfx, jrx = spec.jac_f_x, spec.jac_r_x
+    m, n = spec.decision_dim, spec.state_dim
+    basis = np.eye(m + 1, m, -1)  # zero, then the unit vectors
 
-    def f_columns(x, t):
-        f0 = np.asarray(f(x, zero, t), dtype=float)
-        cols = np.empty((f0.size, m))
-        for i in range(m):
-            cols[:, i] = np.asarray(f(x, units[i], t), dtype=float) - f0
-        return f0, cols
+    def columns(fn, name, x, t, out_shape):
+        """fn(., 0) and the differences fn(., e_i) - fn(., 0) on a last axis,
+        from one call with the basis rows on a new leading axis."""
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        lead = np.broadcast_shapes(x.shape[:-1], t.shape)
+        rows = basis.reshape((m + 1,) + (1,) * len(lead) + (m,))
+        vals = broadcast_result(fn(x[None], rows, t[None]), (m + 1,) + lead + out_shape, name)
+        return vals[0], np.ascontiguousarray(np.moveaxis(vals[1:] - vals[0], 0, -1))
 
-    def r_columns(x, t):
-        r0 = float(r(x, zero, t))
-        cols = np.fromiter((float(r(x, units[i], t)) - r0 for i in range(m)), float, count=m)
-        return r0, cols
+    def f_cols(x, t):
+        return columns(spec.vector_field, "vector_field", x, t, (n,))
+
+    def r_cols(x, t):
+        return columns(spec.running_payoff, "running_payoff", x, t, ())
 
     def f_hat(x, a, t):
-        f0, cols = f_columns(x, t)
-        return f0 + cols @ np.asarray(a, dtype=float)
+        f0, cols = f_cols(x, t)
+        return f0 + matvec(cols, np.asarray(a, dtype=float))
 
     def r_hat(x, a, t):
-        r0, cols = r_columns(x, t)
-        return r0 + float(cols @ np.asarray(a, dtype=float))
+        r0, cols = r_cols(x, t)
+        return r0 + rowdot(cols, np.asarray(a, dtype=float))
 
     def jac_f_x_hat(x, a, t):
-        a = np.asarray(a, dtype=float)
-        J0 = np.asarray(jfx(x, zero, t), dtype=float)
-        out = J0.copy()
-        for i in range(m):
-            if a[i] != 0.0:
-                out += a[i] * (np.asarray(jfx(x, units[i], t), dtype=float) - J0)
-        return out
+        j0, cols = columns(spec.jac_f_x, "jac_f_x", x, t, (n, n))
+        return j0 + matvec(cols, np.asarray(a, dtype=float)[..., None, :])
 
     def jac_r_x_hat(x, a, t):
-        a = np.asarray(a, dtype=float)
-        J0 = np.asarray(jrx(x, zero, t), dtype=float).reshape(-1)
-        out = J0.copy()
-        for i in range(m):
-            if a[i] != 0.0:
-                out += a[i] * (np.asarray(jrx(x, units[i], t), dtype=float).reshape(-1) - J0)
-        return out
+        j0, cols = columns(spec.jac_r_x, "jac_r_x", x, t, (n,))
+        return j0 + matvec(cols, np.asarray(a, dtype=float))
 
     return SystemSpec(
         state_dim=spec.state_dim,
@@ -249,8 +212,8 @@ def reformulate(spec: SystemSpec) -> SystemSpec:
         jac_f_x=jac_f_x_hat,
         jac_r_x=jac_r_x_hat,
         jac_q_x=spec.jac_q_x,
-        jac_f_alpha=lambda x, a, t: f_columns(x, t)[1],
-        jac_r_alpha=lambda x, a, t: r_columns(x, t)[1],
+        jac_f_alpha=lambda x, a, t: f_cols(x, t)[1],
+        jac_r_alpha=lambda x, a, t: r_cols(x, t)[1],
         relaxable=True,
     )
 
@@ -263,12 +226,8 @@ def finite_difference_standard(
     if not spec.relaxable:
         raise NotRelaxableError("finite differences in the decision need a relaxable system")
     abar = as_binary(alpha_bar, spec.decision_dim)
-    e = np.zeros(spec.decision_dim)
-    e[i] = h_fd
-    hi = abar + e
-    lo = abar - e
-    j_hi = evaluate_payoff(spec, integrate(spec, hi, grid, scheme), hi)
-    j_lo = evaluate_payoff(spec, integrate(spec, lo, grid, scheme), lo)
+    probes = abar + h_fd * np.outer([1.0, -1.0], np.eye(spec.decision_dim)[i])
+    j_hi, j_lo = evaluate_payoff(spec, integrate(spec, probes, grid, scheme), probes)
     return (j_hi - j_lo) / (2.0 * h_fd)
 
 
@@ -281,8 +240,8 @@ def variational_quotient(
         raise ValueError("eps must lie in (0, 1]")
     traj = integrate_variational(spec, alpha_bar, alpha_to, eps, grid, scheme)
     val = evaluate_variational_payoff(spec, traj, alpha_bar, alpha_to, eps)
-    base_traj = integrate(spec, as_binary(alpha_bar, spec.decision_dim), grid, scheme)
-    base = payoff_functional(spec, base_traj, as_binary(alpha_bar, spec.decision_dim))
+    abar = as_binary(alpha_bar, spec.decision_dim)
+    base = evaluate_payoff(spec, integrate(spec, abar, grid, scheme), abar)
     return (val - base) / eps
 
 

@@ -41,6 +41,9 @@ from .system import (
     affine_state_model,
     integrate,
     evaluate_payoff,
+    matvec,
+    payoff_function,
+    rowdot,
     trapezoid_weights,
 )
 
@@ -123,7 +126,7 @@ def _penalty_payoff(params: EtpParams):
     s = lo + hi
 
     def running(x, _a, _t):
-        return -float(np.sum(penalty(x, lo, hi, d)))
+        return -np.sum(penalty(x, lo, hi, d), axis=-1)
 
     def jac_r_x(x, _a, _t):
         return -d * (4.0 * x - 2.0 * s)
@@ -149,7 +152,7 @@ def build_etp_system(params: EtpParams, alpha_slot_horizon: float) -> SystemSpec
         decision_dim=n,
         initial_state=params.x0,
         horizon=alpha_slot_horizon,
-        vector_field=lambda x, a, t: A @ x + B @ a + theta,
+        vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a) + theta,
         running_payoff=running,
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: A,
@@ -199,18 +202,22 @@ def build_transient_system(
     zero_m = np.zeros(m)
 
     def cooling(a, t):
+        t = np.asarray(t)[..., None]
         return np.where(mem, b * np.exp(-xi * (1.0 - a) * t), b * a)
 
     def jac_f_alpha(x, a, t):
+        t = np.asarray(t)[..., None]
         diag = np.where(mem, -b * xi * t * np.exp(-xi * (1.0 - a) * t), -b)
-        return np.diag(diag)
+        out = np.zeros(diag.shape + (m,))
+        out[..., range(m), range(m)] = diag
+        return out
 
     return SystemSpec(
         state_dim=m,
         decision_dim=m,
         initial_state=params.x0,
         horizon=alpha_slot_horizon,
-        vector_field=lambda x, a, t: A @ x + theta - cooling(a, t),
+        vector_field=lambda x, a, t: matvec(A, x) + theta - cooling(a, t),
         running_payoff=running,
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: A,
@@ -338,13 +345,12 @@ class QuadraticPayoff:
     linear: np.ndarray
     quadratic: np.ndarray
 
-    def value(self, alpha) -> float:
-        a = np.asarray(alpha, dtype=float).reshape(-1)
-        return self.constant + float(self.linear @ a) + float(a @ self.quadratic @ a)
-
-    def value_batch(self, A: np.ndarray) -> np.ndarray:
-        A = np.asarray(A, dtype=float)
-        return self.constant + A @ self.linear + np.einsum("ij,ij->i", A @ self.quadratic, A)
+    def value(self, alpha):
+        """Payoffs (...) of decision rows (..., m), each row computed as for
+        a single decision; a float for one decision."""
+        a = np.asarray(alpha, dtype=float)
+        v = self.constant + rowdot(a, self.linear) + rowdot(matvec(self.quadratic.T, a), a)
+        return v if np.ndim(v) else float(v)
 
 
 def quadratic_payoff_model(
@@ -593,19 +599,14 @@ def solve_linearized(grad: Gradient, con: TuRows, band, solver: str, scenario: S
     raise ConstraintError(f"unknown solver {solver!r}")
 
 
-def _oracle_best(scenario, spec, grid, scheme, con: TuRows):
-    """Exact per-slot maximizer; quadratic model for linear fleets, plain
-    integrations otherwise."""
-    m = scenario.params.m
+def slot_payoff(scenario: Scenario, spec: SystemSpec, grid: TimeGrid, scheme: str):
+    """The exact discrete payoff of one slot as an objective over decision
+    rows (..., m): the quadratic model for linear fleets, batched
+    integrations (see ``payoff_function``) otherwise."""
     if scenario.transient is None:
         params = replace(scenario.params, x0=spec.initial_state)
-        model = quadratic_payoff_model(params, scenario.step_hours, grid, scheme)
-        return solve_bruteforce(None, con, m, batch_objective=model.value_batch)
-
-    def payoff(a):
-        return evaluate_payoff(spec, integrate(spec, a, grid, scheme), a)
-
-    return solve_bruteforce(payoff, con, m)
+        return quadratic_payoff_model(params, scenario.step_hours, grid, scheme).value
+    return payoff_function(spec, grid, scheme)
 
 
 def run_receding_horizon(
@@ -644,7 +645,7 @@ def run_receding_horizon(
         abar = _pick_base(linearization, k, prev_alpha, m, rng)
 
         if solver == "oracle":
-            applied, applied_payoff = _oracle_best(scenario, spec, grid, scheme, con)
+            applied, applied_payoff = solve_bruteforce(slot_payoff(scenario, spec, grid, scheme), con, m)
             base_traj = integrate(spec, abar, grid, scheme)
             base_payoff = evaluate_payoff(spec, base_traj, abar)
             rho, rho_post, optimal, used_kind = None, 1.0, True, "oracle"
@@ -667,7 +668,7 @@ def run_receding_horizon(
 
         oracle_payoff = oracle_ratio = None
         if with_oracle and solver != "oracle":
-            _, oracle_payoff = _oracle_best(scenario, spec, grid, scheme, con)
+            _, oracle_payoff = solve_bruteforce(slot_payoff(scenario, spec, grid, scheme), con, m)
             gain_opt = oracle_payoff - base_payoff
             gain_got = applied_payoff - base_payoff
             oracle_ratio = 1.0 if gain_opt <= 1e-12 * (1 + abs(oracle_payoff)) else gain_got / gain_opt

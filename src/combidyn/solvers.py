@@ -3,7 +3,8 @@
 Once a payoff gradient is available the decision problem collapses to
 max g^T alpha over the constraint set, which no longer involves the
 dynamical system at all; the solvers here take only the gradient (or a plain
-objective callable) and the constraints.
+objective callable) and the constraints.  Objectives map decision rows
+(..., m) to values (...), so a whole chunk of candidates is one call.
 
 Constraint kinds:
 
@@ -269,37 +270,28 @@ def binary_chunks(m: int):
 
 
 def solve_bruteforce(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     constraints: Optional[ConstraintSet],
     m: int,
-    batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ):
     """Exact maximizer by exhaustive enumeration; the oracle everything else
     is tested against.
 
     Enumerates in lexicographic order so ties resolve toward the
-    lexicographically smallest vector.  ``batch_objective``, when given, maps
-    an (N, m) matrix of binary rows to N payoffs and replaces the per-vector
-    callable.  Returns (alpha, value); raises InfeasibleError when nothing is
-    feasible and EnumerationRefusedError above m = 24.
+    lexicographically smallest vector; ``objective`` maps each (N, m) chunk
+    of feasible binary rows to N values.  Returns (alpha, value); raises
+    InfeasibleError when nothing is feasible and EnumerationRefusedError
+    above m = 24.
     """
     if m > _BRUTE_FORCE_LIMIT:
         raise EnumerationRefusedError(f"refusing exhaustive search for m = {m} > {_BRUTE_FORCE_LIMIT}")
     best_val = -np.inf
     best_alpha = None
     for A in binary_chunks(m):
-        mask = (
-            np.ones(A.shape[0], dtype=bool)
-            if constraints is None
-            else feasible_mask(constraints, A)
-        )
-        if not mask.any():
+        feas = A if constraints is None else A[feasible_mask(constraints, A)]
+        if not feas.shape[0]:
             continue
-        feas = A[mask]
-        if batch_objective is not None:
-            vals = np.asarray(batch_objective(feas), dtype=float)
-        else:
-            vals = np.fromiter((objective(row) for row in feas), float, count=feas.shape[0])
+        vals = np.asarray(objective(feas), dtype=float)
         k = int(np.argmax(vals))
         # argmax returns the first maximizer, preserving lexicographic order
         if vals[k] > best_val:
@@ -310,19 +302,18 @@ def solve_bruteforce(
     return best_alpha, best_val
 
 
-def _can_add(constraints: Optional[ConstraintSet], alpha: np.ndarray, i: int) -> bool:
-    cand = alpha.copy()
-    cand[i] = 1.0
+def _addable(constraints: Optional[ConstraintSet], cands: np.ndarray) -> np.ndarray:
+    """Which candidate rows a greedy step may move to."""
     if constraints is None:
-        return True
+        return np.ones(cands.shape[0], dtype=bool)
     if isinstance(constraints, L0Band):
         # The lower bound constrains the final answer, not partial sets.
-        return int(cand.sum()) <= constraints.k_max
-    return is_feasible(constraints, cand)
+        return cands.sum(axis=1) <= constraints.k_max
+    return feasible_mask(constraints, cands)
 
 
 def solve_greedy(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     constraints: Optional[ConstraintSet],
     m: int,
 ) -> np.ndarray:
@@ -330,24 +321,22 @@ def solve_greedy(
     entry with the largest payoff increment.
 
     Stops when no increment is positive, except that a count band's k_min is
-    filled first regardless of sign.  Costs O(m^2) objective evaluations.
+    filled first regardless of sign.  Costs O(m) objective calls, one per
+    round over all of that round's candidates.
     """
     alpha = np.zeros(m)
     current = float(objective(alpha))
     k_min = constraints.k_min if isinstance(constraints, L0Band) else 0
     while True:
-        best_i = -1
-        best_val = -np.inf
-        for i in range(m):
-            if alpha[i] == 1.0 or not _can_add(constraints, alpha, i):
-                continue
-            cand = alpha.copy()
-            cand[i] = 1.0
-            val = float(objective(cand))
-            if val > best_val:
-                best_val, best_i = val, i
-        if best_i < 0:
+        off = np.flatnonzero(alpha == 0.0)
+        cands = np.repeat(alpha[None], off.size, axis=0)
+        cands[np.arange(off.size), off] = 1.0
+        ok = _addable(constraints, cands)
+        if not ok.any():
             break
+        vals = np.asarray(objective(cands[ok]), dtype=float)
+        k = int(np.argmax(vals))  # the first best, lowest index on ties
+        best_i, best_val = off[ok][k], float(vals[k])
         must_grow = int(alpha.sum()) < k_min
         if best_val - current <= 0.0 and not must_grow:
             break

@@ -6,7 +6,9 @@ constant over the horizon.  The payoff of a decision is the integral of a
 running payoff r along the trajectory plus a terminal payoff q at time T.
 
 Everything here is pure: specs and trajectories are immutable after
-construction, and independent integrations can run concurrently.
+construction.  Every callable broadcasts over leading axes (see
+:class:`SystemSpec`), so one integration can carry a stack of B decisions
+along a batch axis, and one callback call covers every knot of a path.
 """
 
 from __future__ import annotations
@@ -26,10 +28,13 @@ _BOX_OVERHANG = 1e-2
 
 
 def decision_vector(alpha, m: Optional[int] = None) -> np.ndarray:
-    """A decision as a flat float array, checked to have length m when given."""
-    a = np.asarray(alpha, dtype=float).reshape(-1)
-    if m is not None and a.size != m:
-        raise DimensionError(f"decision vector has length {a.size}, expected {m}")
+    """A decision as a flat float array, or a (B, m) stack of decisions as
+    rows; checked to have m entries per decision when m is given."""
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim != 2:
+        a = a.reshape(-1)
+    if m is not None and a.shape[-1] != m:
+        raise DimensionError(f"decision vector has length {a.shape[-1]}, expected {m}")
     return a
 
 
@@ -46,11 +51,25 @@ def is_binary(alpha) -> bool:
     return bool(np.all((a == 0.0) | (a == 1.0)))
 
 
-def unit_direction(i: int, m: int) -> np.ndarray:
-    """The m-vector with a one in entry i and zeros elsewhere."""
-    e = np.zeros(m)
-    e[i] = 1.0
-    return e
+def matvec(M, v) -> np.ndarray:
+    """M @ v over leading axes, (..., p, q) by (..., q): one BLAS call per
+    row, the same as for a single point, so the values are the same too."""
+    return (M @ v[..., None])[..., 0]
+
+
+def rowdot(u, v) -> np.ndarray:
+    """Dot products of the last axes, one BLAS dot per (contiguous) row."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def broadcast_result(value, shape, name: str) -> np.ndarray:
+    """A callback's return value as a read-only view of the given shape."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=float), shape)
+    except ValueError:
+        raise DimensionError(
+            f"{name} returned shape {np.shape(value)}, which does not broadcast to {shape}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -79,9 +98,18 @@ class TimeGrid:
 class SystemSpec:
     """A combinatorial dynamical system with running and terminal payoffs.
 
-    All callables are pure.  The time argument is carried uniformly so that
-    models with explicit time dependence (e.g. transient actuator behavior)
-    fit the same interface; autonomous systems simply ignore it.
+    All callables are pure, are called positionally, and broadcast over
+    leading axes "...": x is (..., n), a is (..., m), t a scalar or array.
+    ``vector_field`` returns (..., n), ``running_payoff`` (...), ``jac_f_x``
+    (..., n, n), ``jac_r_x`` (..., n), ``jac_f_alpha`` (..., n, m) and
+    ``jac_r_alpha`` (..., m); ``terminal_payoff`` and ``jac_q_x`` map x to
+    (...) and (..., n).  Returns need only broadcast to these shapes.  One
+    call evaluates many knots or decisions; a single point has no leading
+    axes, and :func:`matvec` / :func:`rowdot` keep batched values equal to it.
+
+    The time argument is carried uniformly so that models with explicit time
+    dependence (e.g. transient actuator behavior) fit the same interface;
+    autonomous systems simply ignore it.
 
     relaxable=True declares that ``vector_field`` and ``running_payoff``
     accept fractional decision vectors in the unit box, which the
@@ -187,8 +215,8 @@ def _integrate_field(f, x0, alpha, grid, scheme) -> Trajectory:
     times = grid.times
     h = grid.step
     n_pts = grid.num_points
-    out = np.empty((n_pts, x0.size))
     x = np.array(x0, dtype=float)
+    out = np.empty((n_pts,) + x.shape)
     out[0] = x
     step = _step_factory(f, alpha, h, scheme)
     for k in range(n_pts - 1):
@@ -203,14 +231,17 @@ def _integrate_field(f, x0, alpha, grid, scheme) -> Trajectory:
 def integrate(spec: SystemSpec, alpha, grid: TimeGrid, scheme: str = "euler") -> Trajectory:
     """Integrate the system forward with a fixed-step explicit scheme.
 
-    Fixed steps are deliberate: the costate pass and the payoff quadrature
-    reuse the same knots, which keeps derivatives consistent with the
-    discrete payoff actually computed.
+    ``alpha`` is one decision (m,) or a stack of B decisions (B, m); the
+    stored path is (N, n) or (N, B, n), and each stacked path equals the
+    path of its decision integrated alone.  Fixed steps are deliberate: the
+    costate pass and the payoff quadrature reuse the same knots, which keeps
+    derivatives consistent with the discrete payoff actually computed.
     """
     _check_scheme(scheme)
     _check_grid(spec, grid)
     a = _check_decision(spec, alpha)
-    return _integrate_field(spec.vector_field, spec.initial_state, a, grid, scheme)
+    x0 = np.broadcast_to(spec.initial_state, a.shape[:-1] + (spec.state_dim,))
+    return _integrate_field(spec.vector_field, x0, a, grid, scheme)
 
 
 def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
@@ -220,35 +251,55 @@ def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
     return w
 
 
-def payoff_functional(spec: SystemSpec, traj: Trajectory, beta) -> float:
+def payoff_functional(spec: SystemSpec, traj: Trajectory, beta):
     """Quadrature of r(x(t), beta) along a stored path, plus q at the end.
 
     This is the payoff as a functional of an arbitrary path and an arbitrary
     decision argument; ``evaluate_payoff`` is the special case where the path
-    was produced by the same decision.
+    was produced by the same decision.  A stacked (N, B, n) path with (B, m)
+    decisions gives B payoffs, a single path a float.
     """
     _check_grid(spec, traj.grid)
-    if traj.values.shape[1] != spec.state_dim:
+    X = traj.values
+    if X.shape[-1] != spec.state_dim:
         raise DimensionError(
-            f"trajectory has state dimension {traj.values.shape[1]}, "
-            f"expected {spec.state_dim}"
+            f"trajectory has state dimension {X.shape[-1]}, expected {spec.state_dim}"
         )
-    b = np.asarray(beta, dtype=float).reshape(-1)
-    times = traj.grid.times
-    r = spec.running_payoff
-    rvals = np.fromiter(
-        (r(traj.values[k], b, times[k]) for k in range(traj.grid.num_points)),
-        dtype=float,
-        count=traj.grid.num_points,
+    b = decision_vector(beta)
+    times = traj.grid.times.reshape((-1,) + (1,) * (X.ndim - 2))
+    rvals = broadcast_result(spec.running_payoff(X, b, times), X.shape[:-1], "running_payoff")
+    rows = np.ascontiguousarray(np.moveaxis(rvals, 0, -1))  # one trapezoid dot per path
+    total = rowdot(rows, trapezoid_weights(traj.grid)) + np.asarray(
+        spec.terminal_payoff(X[-1]), dtype=float
     )
-    integral = float(np.dot(trapezoid_weights(traj.grid), rvals))
-    return integral + float(spec.terminal_payoff(traj.final_state))
+    return total if total.ndim else float(total)
 
 
-def evaluate_payoff(spec: SystemSpec, traj: Trajectory, alpha) -> float:
+def evaluate_payoff(spec: SystemSpec, traj: Trajectory, alpha):
     """Trajectory payoff: trapezoid rule on the shared grid plus the
-    terminal payoff at the final knot."""
+    terminal payoff at the final knot; B payoffs for B stacked decisions."""
     return payoff_functional(spec, traj, decision_vector(alpha, spec.decision_dim))
+
+
+_PATH_BUDGET = 1 << 21  # stored path entries per integrated block: 16 MB
+
+
+def payoff_function(spec: SystemSpec, grid: TimeGrid, scheme: str = "euler"):
+    """The discrete payoff as an objective from decision rows (..., m) to
+    payoffs (...), integrating the rows in blocks of at most _PATH_BUDGET
+    stored path entries."""
+    block = max(1, _PATH_BUDGET // (grid.num_points * spec.state_dim))
+
+    def payoff(alpha):
+        a = np.asarray(alpha, dtype=float)
+        rows = a.reshape(-1, a.shape[-1])
+        parts = np.split(rows, range(block, rows.shape[0], block))
+        values = np.concatenate(
+            [evaluate_payoff(spec, integrate(spec, p, grid, scheme), p) for p in parts]
+        )
+        return values.reshape(a.shape[:-1]) if a.ndim > 1 else float(values[0])
+
+    return payoff
 
 
 def affine_state_model(spec: SystemSpec, grid: TimeGrid, scheme: str = "euler"):
@@ -259,14 +310,14 @@ def affine_state_model(spec: SystemSpec, grid: TimeGrid, scheme: str = "euler"):
     path for any decision vector a is  base + sens @ a.  This is *exact*
     (up to roundoff) whenever the vector field is jointly affine in state and
     decision, because every explicit fixed-step update is then an affine map;
-    it costs m + 1 integrations and lets exhaustive oracles evaluate the
-    discrete payoff without one integration per binary point.
+    it costs one integration of the m + 1 rows zero, e_1, ..., e_m and lets
+    exhaustive oracles evaluate the discrete payoff without one integration
+    per binary point.
     """
     m = spec.decision_dim
-    base = integrate(spec, np.zeros(m), grid, scheme).values
-    sens = np.empty((grid.num_points, spec.state_dim, m))
-    for i in range(m):
-        sens[:, :, i] = integrate(spec, unit_direction(i, m), grid, scheme).values - base
+    paths = integrate(spec, np.eye(m + 1, m, -1), grid, scheme).values
+    base = np.ascontiguousarray(paths[:, 0])
+    sens = np.ascontiguousarray((paths[:, 1:] - base[:, None]).transpose(0, 2, 1))
     return base, sens
 
 

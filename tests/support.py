@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from combidyn import SystemSpec, affine_state_model, trapezoid_weights
+from combidyn import SystemSpec, affine_state_model, matvec, rowdot, trapezoid_weights
 
 
 def scalar_exp_system(x0=1.0, horizon=1.0, terminal=False):
@@ -12,7 +12,7 @@ def scalar_exp_system(x0=1.0, horizon=1.0, terminal=False):
     closed forms in exp."""
 
     def q(x):
-        return float(x[0]) if terminal else 0.0
+        return x[..., 0] if terminal else 0.0
 
     def jac_q(x):
         return np.array([1.0]) if terminal else np.array([0.0])
@@ -23,7 +23,7 @@ def scalar_exp_system(x0=1.0, horizon=1.0, terminal=False):
         initial_state=[x0],
         horizon=horizon,
         vector_field=lambda x, a, t: x,
-        running_payoff=(lambda x, a, t: 0.0) if terminal else (lambda x, a, t: float(x[0])),
+        running_payoff=(lambda x, a, t: 0.0) if terminal else (lambda x, a, t: x[..., 0]),
         terminal_payoff=q,
         jac_f_x=lambda x, a, t: np.array([[1.0]]),
         jac_r_x=(lambda x, a, t: np.array([0.0]))
@@ -43,8 +43,8 @@ def scalar_affine_system(x0=0.0, horizon=1.0):
         decision_dim=1,
         initial_state=[x0],
         horizon=horizon,
-        vector_field=lambda x, a, t: x + a[0],
-        running_payoff=lambda x, a, t: float(x[0]),
+        vector_field=lambda x, a, t: x + a[..., :1],
+        running_payoff=lambda x, a, t: x[..., 0],
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: np.array([[1.0]]),
         jac_r_x=lambda x, a, t: np.array([1.0]),
@@ -64,13 +64,15 @@ def cubic_bias_system(x0=1.0, horizon=1.0):
         decision_dim=2,
         initial_state=[x0],
         horizon=horizon,
-        vector_field=lambda x, a, t: x + a[0] ** 3 + 2.0 * a[1],
-        running_payoff=lambda x, a, t: float(x[0]) ** 2,
+        vector_field=lambda x, a, t: x + a[..., :1] ** 3 + 2.0 * a[..., 1:],
+        running_payoff=lambda x, a, t: x[..., 0] ** 2,
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: np.array([[1.0]]),
-        jac_r_x=lambda x, a, t: np.array([2.0 * x[0]]),
+        jac_r_x=lambda x, a, t: 2.0 * x,
         jac_q_x=lambda x: np.array([0.0]),
-        jac_f_alpha=lambda x, a, t: np.array([[3.0 * a[0] ** 2, 2.0]]),
+        jac_f_alpha=lambda x, a, t: np.stack(
+            [3.0 * a[..., 0] ** 2, np.full(a.shape[:-1], 2.0)], axis=-1
+        )[..., None, :],
         jac_r_alpha=lambda x, a, t: np.zeros(2),
         relaxable=True,
     )
@@ -84,13 +86,13 @@ def exp_additive_system(m=3, x0=0.0, horizon=1.0):
         decision_dim=m,
         initial_state=[x0],
         horizon=horizon,
-        vector_field=lambda x, a, t: x + np.sum(np.exp(-np.asarray(a))),
-        running_payoff=lambda x, a, t: float(x[0]),
+        vector_field=lambda x, a, t: x + np.sum(np.exp(-a), axis=-1, keepdims=True),
+        running_payoff=lambda x, a, t: x[..., 0],
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: np.array([[1.0]]),
         jac_r_x=lambda x, a, t: np.array([1.0]),
         jac_q_x=lambda x: np.array([0.0]),
-        jac_f_alpha=lambda x, a, t: -np.exp(-np.asarray(a, dtype=float)).reshape(1, -1),
+        jac_f_alpha=lambda x, a, t: -np.exp(-a)[..., None, :],
         jac_r_alpha=lambda x, a, t: np.zeros(m),
         relaxable=True,
     )
@@ -104,18 +106,18 @@ def coupled_square_system(sign=-1.0, horizon=1.0):
     """
 
     def r(x, a, t):
-        return sign * (x[0] - x[1]) ** 2
+        return sign * (x[..., 0] - x[..., 1]) ** 2
 
     def jac_r_x(x, a, t):
-        d = 2.0 * sign * (x[0] - x[1])
-        return np.array([d, -d])
+        d = 2.0 * sign * (x[..., 0] - x[..., 1])
+        return np.stack([d, -d], axis=-1)
 
     return SystemSpec(
         state_dim=2,
         decision_dim=2,
         initial_state=[0.0, 0.0],
         horizon=horizon,
-        vector_field=lambda x, a, t: np.array([x[0] + a[0] + 2.0, x[1] + a[1]]),
+        vector_field=lambda x, a, t: x + a + [2.0, 0.0],
         running_payoff=r,
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: np.eye(2),
@@ -148,40 +150,57 @@ def random_poly_system(rng, n, m, horizon=0.5):
     Qxx = 0.1 * rng.standard_normal((n, n))
     x0 = 0.5 * rng.uniform(-1.0, 1.0, n)
 
+    def bilinear(T, u, v):
+        # sum_jk T[i, j, k] u_j v_k over the last axes of u and v
+        return matvec(matvec(T, v[..., None, :]), u)
+
     def f(x, a, t):
         return (
-            A @ x
-            + B @ a
+            matvec(A, x)
+            + matvec(B, a)
             + c0
-            + np.einsum("ijk,j,k->i", Cxx, x, x)
-            + np.einsum("ijk,j,k->i", Daa, a, a)
-            + np.einsum("ijk,j,k->i", Exa, x, a)
+            + bilinear(Cxx, x, x)
+            + bilinear(Daa, a, a)
+            + bilinear(Exa, x, a)
         )
 
     def jac_f_x(x, a, t):
-        return A + np.einsum("ijk,k->ij", Cxx + Cxx.transpose(0, 2, 1), x) + np.einsum(
-            "ijk,k->ij", Exa, a
+        return (
+            A
+            + matvec(Cxx + Cxx.transpose(0, 2, 1), x[..., None, :])
+            + matvec(Exa, a[..., None, :])
         )
 
     def jac_f_alpha(x, a, t):
-        return B + np.einsum("ijk,k->ij", Daa + Daa.transpose(0, 2, 1), a) + np.einsum(
-            "ijk,j->ik", Exa, x
+        return (
+            B
+            + matvec(Daa + Daa.transpose(0, 2, 1), a[..., None, :])
+            + matvec(Exa.transpose(0, 2, 1), x[..., None, :])
         )
 
+    def quadratic(M, u, v):
+        return rowdot(matvec(M.T, u), v)  # u @ M @ v
+
     def r(x, a, t):
-        return float(rx @ x + ra @ a + x @ Rxx @ x + a @ Saa @ a + x @ Wxa @ a)
+        return (
+            rowdot(x, rx)
+            + rowdot(a, ra)
+            + quadratic(Rxx, x, x)
+            + quadratic(Saa, a, a)
+            + quadratic(Wxa, x, a)
+        )
 
     def jac_r_x(x, a, t):
-        return rx + (Rxx + Rxx.T) @ x + Wxa @ a
+        return rx + matvec(Rxx + Rxx.T, x) + matvec(Wxa, a)
 
     def jac_r_alpha(x, a, t):
-        return ra + (Saa + Saa.T) @ a + Wxa.T @ x
+        return ra + matvec(Saa + Saa.T, a) + matvec(Wxa.T, x)
 
     def q(x):
-        return float(qx @ x + x @ Qxx @ x)
+        return rowdot(x, qx) + quadratic(Qxx, x, x)
 
     def jac_q_x(x):
-        return qx + (Qxx + Qxx.T) @ x
+        return qx + matvec(Qxx + Qxx.T, x)
 
     return SystemSpec(
         state_dim=n,
@@ -213,28 +232,28 @@ def random_nonrelaxable_system(rng, n, m, horizon=0.5):
     qx = 0.4 * rng.standard_normal(n)
     x0 = 0.5 * rng.uniform(-1.0, 1.0, n)
 
+    def _bits(a):
+        return np.asarray(a).astype(int)
+
     def _gain(bits):
-        return 1.0 + 0.25 * np.tanh(table_g[bits, np.arange(m)].sum())
+        return 1.0 + 0.25 * np.tanh(table_g[bits, np.arange(m)].sum(axis=-1))
+
+    def _lift(bits):
+        return table_r[bits, np.arange(m)].sum(axis=-1)
 
     def f(x, a, t):
-        bits = np.asarray(a).astype(int)
-        return _gain(bits) * (A @ x) + table_f[bits, :, np.arange(m)].sum(axis=0)
+        bits = _bits(a)
+        return _gain(bits)[..., None] * matvec(A, x) + table_f[bits, :, np.arange(m)].sum(axis=-2)
 
     def r(x, a, t):
-        bits = np.asarray(a).astype(int)
-        lift = table_r[bits, np.arange(m)].sum()
-        return float(rx @ x + lift * (0.5 + 0.5 * np.tanh(x[0])))
+        return rowdot(x, rx) + _lift(_bits(a)) * (0.5 + 0.5 * np.tanh(x[..., 0]))
 
     def jac_f_x(x, a, t):
-        bits = np.asarray(a).astype(int)
-        return _gain(bits) * A
+        return _gain(_bits(a))[..., None, None] * A
 
     def jac_r_x(x, a, t):
-        bits = np.asarray(a).astype(int)
-        lift = table_r[bits, np.arange(m)].sum()
-        out = rx.copy()
-        out[0] += lift * 0.5 * (1.0 - np.tanh(x[0]) ** 2)
-        return out
+        slope = _lift(_bits(a)) * 0.5 * (1.0 - np.tanh(x[..., 0]) ** 2)
+        return rx + slope[..., None] * np.eye(n)[0]
 
     return SystemSpec(
         state_dim=n,
@@ -243,7 +262,7 @@ def random_nonrelaxable_system(rng, n, m, horizon=0.5):
         horizon=horizon,
         vector_field=f,
         running_payoff=r,
-        terminal_payoff=lambda x: float(qx @ x),
+        terminal_payoff=lambda x: rowdot(x, qx),
         jac_f_x=jac_f_x,
         jac_r_x=jac_r_x,
         jac_q_x=lambda x: qx,
@@ -280,13 +299,13 @@ def random_additive_system(rng, n, m, horizon=0.5):
         decision_dim=m,
         initial_state=x0,
         horizon=horizon,
-        vector_field=lambda x, a, t: A @ x + V @ phi(a) + c0,
-        running_payoff=lambda x, a, t: float(rx @ x + np.sum(psi(a))),
+        vector_field=lambda x, a, t: matvec(A, x) + matvec(V, phi(a)) + c0,
+        running_payoff=lambda x, a, t: rowdot(x, rx) + np.sum(psi(a), axis=-1),
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: A,
         jac_r_x=lambda x, a, t: rx,
         jac_q_x=lambda x: np.zeros(n),
-        jac_f_alpha=lambda x, a, t: V * dphi(a),
+        jac_f_alpha=lambda x, a, t: V * dphi(a)[..., None, :],
         jac_r_alpha=lambda x, a, t: dpsi(a),
         relaxable=True,
     )
@@ -309,11 +328,11 @@ def random_affine_system(rng, n, m, horizon=0.5):
         decision_dim=m,
         initial_state=x0,
         horizon=horizon,
-        vector_field=lambda x, a, t: A @ x + B @ a + c0,
-        running_payoff=lambda x, a, t: float(rx @ x + ra @ a + x @ Rxx @ x),
-        terminal_payoff=lambda x: float(qx @ x),
+        vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a) + c0,
+        running_payoff=lambda x, a, t: rowdot(x, rx) + rowdot(a, ra) + rowdot(matvec(Rxx.T, x), x),
+        terminal_payoff=lambda x: rowdot(x, qx),
         jac_f_x=lambda x, a, t: A,
-        jac_r_x=lambda x, a, t: rx + (Rxx + Rxx.T) @ x,
+        jac_r_x=lambda x, a, t: rx + matvec(Rxx + Rxx.T, x),
         jac_q_x=lambda x: qx,
         jac_f_alpha=lambda x, a, t: B,
         jac_r_alpha=lambda x, a, t: ra,
@@ -343,9 +362,9 @@ def random_concave_instance(rng, n, m, horizon=0.5):
         decision_dim=m,
         initial_state=x0,
         horizon=horizon,
-        vector_field=lambda x, a, t: A @ x + B @ a + c0,
-        running_payoff=lambda x, a, t: float(-w_run @ (x - ctr_run) ** 2 + d_lin @ a),
-        terminal_payoff=lambda x: float(-w_term @ (x - ctr_term) ** 2),
+        vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a) + c0,
+        running_payoff=lambda x, a, t: rowdot((x - ctr_run) ** 2, -w_run) + rowdot(a, d_lin),
+        terminal_payoff=lambda x: rowdot((x - ctr_term) ** 2, -w_term),
         jac_f_x=lambda x, a, t: A,
         jac_r_x=lambda x, a, t: -2.0 * w_run * (x - ctr_run),
         jac_q_x=lambda x: -2.0 * w_term * (x - ctr_term),
@@ -367,7 +386,7 @@ def concave_quadratic_oracle(spec, pieces, grid, scheme="euler"):
     """Exact quadratic form of the discrete payoff of a concave instance.
 
     Uses the affine trajectory map (exact for the linear field under explicit
-    schemes), so value_batch reproduces integrate + evaluate_payoff on the
+    schemes), so batch reproduces integrate + evaluate_payoff on the
     same grid to float precision.  Returns (c0, g, H, batch) with
     J(a) = c0 + g @ a + a @ H @ a and batch a vectorized evaluator.
     """

@@ -244,9 +244,9 @@ def test_criterion_07_certificates():
         assert is_feasible(con, abar)
         grad = standard_derivative(spec, abar, grid, "rk4")
         # the certificate premise needs the exact linearized argmax
-        astar, _ = solve_bruteforce(None, con, m, batch_objective=lambda A: A @ grad.entries)
+        astar, _ = solve_bruteforce(lambda A: A @ grad.entries, con, m)
         cert = certify(spec, abar, grad, astar, grid, "rk4")
-        _opt, opt_val = solve_bruteforce(None, con, m, batch_objective=batch)
+        _opt, opt_val = solve_bruteforce(batch, con, m)
         norm_opt = opt_val - cert.base_payoff
         norm_post = cert.payoff_post - cert.base_payoff
         assert cert.rho_post * norm_opt <= norm_post + 1e-6
@@ -265,9 +265,7 @@ def test_criterion_08_solver_exactness():
         k_min = int(rng.integers(0, m + 1))
         k_max = int(rng.integers(k_min, m + 1))
         got = solve_l0(grad, k_min, k_max)
-        _best, best_val = solve_bruteforce(
-            None, L0Band(k_min, k_max), m, batch_objective=lambda A: A @ g
-        )
+        _best, best_val = solve_bruteforce(lambda A: A @ g, L0Band(k_min, k_max), m)
         assert abs(float(g @ got) - best_val) < 1e-12
 
     for trial in range(500):
@@ -282,7 +280,7 @@ def test_criterion_08_solver_exactness():
         rhs = rng.integers(-1, m + 1, rows_n).astype(float)
         con = TuRows(rows, rhs)
         try:
-            _best, best_val = solve_bruteforce(None, con, m, batch_objective=lambda A: A @ g)
+            _best, best_val = solve_bruteforce(lambda A: A @ g, con, m)
         except Exception:
             with pytest.raises(Exception):
                 solve_tu(_as_grad(g), rows, rhs)
@@ -297,7 +295,7 @@ def test_criterion_08_solver_exactness():
         w = rng.uniform(0.0, 2.0, m)
         cap = float(rng.uniform(0.4, 0.9) * max(w.sum(), 1.0))
         got = solve_knapsack(_as_grad(g), w, cap)
-        _best, opt = solve_bruteforce(None, Knapsack(w, cap), m, batch_objective=lambda A: A @ g)
+        _best, opt = solve_bruteforce(lambda A: A @ g, Knapsack(w, cap), m)
         assert float(w @ got) <= cap + 1e-9
         assert float(g @ got) >= 0.5 * opt - 1e-9
     assert time.perf_counter() - start < 120.0

@@ -99,9 +99,9 @@ def test_certificate_bound_on_concave_instances(seed):
     grad = standard_derivative(spec, abar, grid, "rk4")
     con = _random_constraints(rng, m)
     # the certificate needs the exact argmax of the linearized objective
-    astar, _ = solve_bruteforce(None, con, m, batch_objective=lambda A: A @ grad.entries)
+    astar, _ = solve_bruteforce(lambda A: A @ grad.entries, con, m)
     cert = certify(spec, abar, grad, astar, grid, "rk4")
-    _opt_alpha, opt_val = solve_bruteforce(None, con, m, batch_objective=batch)
+    _opt_alpha, opt_val = solve_bruteforce(batch, con, m)
 
     assert cert.payoff_post >= cert.base_payoff
     norm_opt = opt_val - cert.base_payoff
@@ -153,21 +153,21 @@ def test_nonstandard_certificate_via_reformulated_concavity():
     w = rng.uniform(0.3, 1.0, n)
     bump = rng.uniform(0.5, 1.5, m)
 
-    from combidyn import SystemSpec
+    from combidyn import SystemSpec, matvec, rowdot
 
     spec = SystemSpec(
         state_dim=n,
         decision_dim=m,
         initial_state=0.4 * rng.standard_normal(n),
         horizon=0.5,
-        vector_field=lambda x, a, t: A @ x + B @ a,
-        running_payoff=lambda x, a, t: float(-w @ x**2 + bump @ (np.asarray(a) ** 3)),
+        vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a),
+        running_payoff=lambda x, a, t: rowdot(x**2, -w) + rowdot(a**3, bump),
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: A,
         jac_r_x=lambda x, a, t: -2.0 * w * x,
         jac_q_x=lambda x: np.zeros(n),
         jac_f_alpha=lambda x, a, t: B,
-        jac_r_alpha=lambda x, a, t: 3.0 * bump * np.asarray(a) ** 2,
+        jac_r_alpha=lambda x, a, t: 3.0 * bump * a**2,
         relaxable=True,
     )
     grid = _grid(spec)
@@ -219,16 +219,17 @@ def test_submodularity_closed_form_differences():
 
 def test_modular_payoff_is_submodular_and_monotone():
     c = np.array([0.5, 1.0, 0.25])
-    payoff = lambda a: float(c @ a)
+    payoff = lambda a: a @ c
     assert check_submodular(payoff, 3) is True
     assert check_monotone(payoff, 3) is True
-    assert check_monotone(lambda a: -float(np.sum(a)), 3) is False
+    assert check_monotone(lambda a: -np.sum(a, axis=-1), 3) is False
 
 
 def test_set_function_witnesses_are_little_endian():
     # Entry j of a witness is bit j of its code in the payoff table.
-    assert submodularity_report(lambda a: a[0] * a[1] * a[2], 3).witness.tolist() == [0, 0, 1]
-    mono = monotonicity_report(lambda a: -a[0] * (1 - a[1]) * (1 + a[2]), 3)
+    triple = lambda a: a[..., 0] * a[..., 1] * a[..., 2]
+    assert submodularity_report(triple, 3).witness.tolist() == [0, 0, 1]
+    mono = monotonicity_report(lambda a: -a[..., 0] * (1 - a[..., 1]) * (1 + a[..., 2]), 3)
     assert mono.witness.tolist() == [0, 0, 1]
 
 
@@ -238,7 +239,7 @@ def test_concavity_worst_alpha_is_first_in_lexicographic_order():
     spec = exp_additive_system(m=3)
     grad = Gradient("standard", np.zeros(3), np.zeros(3), 0.0)
     report = check_concavity_inequality(
-        spec, np.zeros(3), grad, _grid(spec, 11), payoff_fn=lambda a: abs(a[0] - a[2])
+        spec, np.zeros(3), grad, _grid(spec, 11), payoff_fn=lambda a: np.abs(a[..., 0] - a[..., 2])
     )
     assert not report.holds and report.checked == 8
     assert report.worst_violation == 1.0

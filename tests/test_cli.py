@@ -219,3 +219,46 @@ def test_sampling_commands_deterministic_bytes(small_scenario, tmp_path):
 def test_grid_below_two_points_exit_code(small_scenario, capsys):
     assert _run(["optimize", "--scenario", small_scenario, "--grid", "1"]) == 2
     assert "DimensionError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep-linearization", "compare-derivatives"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_exit_code(small_scenario, command, samples, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _run([command, "--scenario", small_scenario, "--samples", samples])
+    assert exit_info.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_transient_concavity_report_matches_per_row_loop(tmp_path, capsys):
+    from combidyn import (
+        TimeGrid,
+        evaluate_payoff,
+        integrate,
+        standard_derivative,
+        step_system,
+    )
+
+    sc = default_scenario(10, seed=2, num_steps=1, transient=True)
+    path = tmp_path / "transient10.yaml"
+    write_scenario(sc, str(path))
+    assert _run(["check-concavity", "--scenario", str(path), "--scheme", "rk4", "--grid", "11"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    spec = step_system(sc, sc.params.x0)
+    grid = TimeGrid(sc.step_hours, 11)
+    abar = np.zeros(10)
+    grad = standard_derivative(spec, abar, grid, "rk4")
+    worst, worst_alpha, holds = -np.inf, None, True
+    for code in range(1 << 10):
+        alpha = np.array([(code >> (9 - j)) & 1 for j in range(10)], dtype=float)
+        j_alpha = evaluate_payoff(spec, integrate(spec, alpha, grid, "rk4"), alpha)
+        violation = (j_alpha - grad.base_payoff) - float(grad.entries @ (alpha - abar))
+        if violation > worst:
+            worst, worst_alpha = violation, alpha
+        holds = holds and not violation > 1e-7 * (1.0 + abs(j_alpha))
+    bits = "".join(str(int(v)) for v in worst_alpha)
+    assert lines == [
+        f"concavity inequality (standard derivative, 1024 points): {'pass' if holds else 'FAIL'}",
+        f"worst violator {bits} with gap {format(worst, '.9g')}",
+    ]

@@ -201,7 +201,7 @@ def test_quadratic_model_matches_integrated_payoff():
         alpha = rng.integers(0, 2, 10).astype(float)
         direct = evaluate_payoff(spec, integrate(spec, alpha, grid, "rk4"), alpha)
         assert abs(model.value(alpha) - direct) < 1e-9 * (1.0 + abs(direct))
-    batch = model.value_batch(np.eye(10))
+    batch = model.value(np.eye(10))
     singles = [model.value(row) for row in np.eye(10)]
     assert np.allclose(batch, singles, atol=1e-12)
 
@@ -302,8 +302,8 @@ def test_transient_members_pattern():
 
 
 def test_bruteforce_batch_and_scalar_routes_agree():
-    # The quadratic batch oracle and per-decision integration must select the
-    # same optimum over the Case-I feasible set.
+    # The quadratic model and batched integration must select the same
+    # optimum over the Case-I feasible set.
     import combidyn
 
     params = default_fleet(10, seed=8)
@@ -316,7 +316,7 @@ def test_bruteforce_batch_and_scalar_routes_agree():
         return evaluate_payoff(spec, integrate(spec, a, grid, "rk4"), a)
 
     a_scalar, v_scalar = combidyn.solve_bruteforce(payoff, con, 10)
-    a_batch, v_batch = combidyn.solve_bruteforce(None, con, 10, batch_objective=model.value_batch)
+    a_batch, v_batch = combidyn.solve_bruteforce(model.value, con, 10)
     assert np.array_equal(a_scalar, a_batch)
     assert abs(v_scalar - v_batch) < 1e-9 * (1.0 + abs(v_scalar))
 

@@ -80,9 +80,7 @@ def test_l0_band_matches_brute_force(seed):
     k_min = int(rng.integers(0, m + 1))
     k_max = int(rng.integers(k_min, m + 1))
     got = solve_l0(_grad(g), k_min, k_max)
-    best, best_val = solve_bruteforce(
-        None, L0Band(k_min, k_max), m, batch_objective=lambda A: A @ g
-    )
+    best, best_val = solve_bruteforce(lambda A: A @ g, L0Band(k_min, k_max), m)
     assert k_min <= got.sum() <= k_max
     assert abs(float(g @ got) - best_val) < 1e-12
 
@@ -134,7 +132,7 @@ def test_tu_block_matches_brute_force_ten_units():
     rhs[-1] = 2.0
     g = rng.uniform(0.1, 1.0, 10)  # all entries positive
     got = solve_tu(_grad(g), Q, rhs)
-    best, best_val = solve_bruteforce(None, TuRows(Q, rhs), 10, batch_objective=lambda A: A @ g)
+    best, best_val = solve_bruteforce(lambda A: A @ g, TuRows(Q, rhs), 10)
     assert np.all(Q @ got <= rhs + 1e-9)
     assert abs(float(g @ got) - best_val) < 1e-9
 
@@ -155,7 +153,7 @@ def test_tu_matches_brute_force_random_instances(family, seed):
     g = rng.standard_normal(m)
     con = TuRows(rows, rhs)
     try:
-        best, best_val = solve_bruteforce(None, con, m, batch_objective=lambda A: A @ g)
+        best, best_val = solve_bruteforce(lambda A: A @ g, con, m)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             solve_tu(_grad(g), rows, rhs)
@@ -174,9 +172,7 @@ def test_knapsack_example_half_bound():
     g = _grad([6.0, 10.0, 12.0])
     got = solve_knapsack(g, [1.0, 2.0, 3.0], 5.0)
     assert np.array_equal(got, [1, 1, 0])  # ratio order packs items 1 and 2
-    _, opt = solve_bruteforce(
-        None, Knapsack(np.array([1.0, 2.0, 3.0]), 5.0), 3, batch_objective=lambda A: A @ g.entries
-    )
+    _, opt = solve_bruteforce(lambda A: A @ g.entries, Knapsack(np.array([1.0, 2.0, 3.0]), 5.0), 3)
     assert abs(opt - 22.0) < 1e-12
     assert float(g.entries @ got) >= 0.5 * opt
 
@@ -212,7 +208,7 @@ def test_knapsack_half_approximation(seed):
     cap = float(rng.uniform(0.5, 0.8 * max(w.sum(), 1.0)))
     got = solve_knapsack(_grad(g), w, cap)
     assert float(w @ got) <= cap + 1e-9
-    _, opt = solve_bruteforce(None, Knapsack(w, cap), m, batch_objective=lambda A: A @ g)
+    _, opt = solve_bruteforce(lambda A: A @ g, Knapsack(w, cap), m)
     assert float(g @ got) >= 0.5 * opt - 1e-9
 
 
@@ -222,32 +218,32 @@ def test_knapsack_half_approximation(seed):
 
 def test_bruteforce_unconstrained_indicator():
     g = np.array([1.0, -2.0, 0.5, -0.1])
-    best, val = solve_bruteforce(lambda a: float(g @ a), None, 4)
+    best, val = solve_bruteforce(lambda a: a @ g, None, 4)
     assert np.array_equal(best, [1, 0, 1, 0])
     assert abs(val - 1.5) < 1e-12
 
 
 def test_bruteforce_tie_breaks_lexicographically():
-    best, val = solve_bruteforce(lambda a: 0.0, None, 3)
+    best, val = solve_bruteforce(lambda a: np.zeros(len(a)), None, 3)
     assert np.array_equal(best, [0, 0, 0])
-    best, _ = solve_bruteforce(lambda a: float(a[0] + a[1]), L0Band(1, 1), 2)
+    best, _ = solve_bruteforce(lambda a: a[..., 0] + a[..., 1], L0Band(1, 1), 2)
     assert np.array_equal(best, [0, 1])  # (0,1) < (1,0) lexicographically
 
 
 def test_bruteforce_explicit_set():
     admissible = ExplicitSet(((0.0, 1.0), (1.0, 0.0)))
-    best, val = solve_bruteforce(lambda a: float(a[0] * 2 + a[1]), admissible, 2)
+    best, val = solve_bruteforce(lambda a: a[..., 0] * 2 + a[..., 1], admissible, 2)
     assert np.array_equal(best, [1, 0])
 
 
 def test_bruteforce_guard():
     with pytest.raises(EnumerationRefusedError):
-        solve_bruteforce(lambda a: 0.0, None, 25)
+        solve_bruteforce(lambda a: np.zeros(len(a)), None, 25)
 
 
 def test_bruteforce_infeasible():
     with pytest.raises(InfeasibleError):
-        solve_bruteforce(lambda a: 0.0, TuRows([[1.0, 1.0]], [-1.0]), 2)
+        solve_bruteforce(lambda a: np.zeros(len(a)), TuRows([[1.0, 1.0]], [-1.0]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +257,13 @@ def test_greedy_modular_equals_one_shot():
         g = rng.standard_normal(m)
         k_min = int(rng.integers(0, m + 1))
         k_max = int(rng.integers(k_min, m + 1))
-        greedy = solve_greedy(lambda a: float(g @ a), L0Band(k_min, k_max), m)
+        greedy = solve_greedy(lambda a: a @ g, L0Band(k_min, k_max), m)
         one_shot = solve_l0(_grad(g), k_min, k_max)
         assert abs(float(g @ greedy) - float(g @ one_shot)) < 1e-12
 
 
 def test_greedy_no_positive_increment_stays_zero():
-    got = solve_greedy(lambda a: -float(a.sum()), L0Band(0, 3), 3)
+    got = solve_greedy(lambda a: -a.sum(axis=-1), L0Band(0, 3), 3)
     assert np.array_equal(got, [0, 0, 0])
 
 
@@ -283,9 +279,8 @@ def test_greedy_coverage_bound(seed):
     k = int(rng.integers(1, m))
 
     def coverage(a):
-        chosen = covers[np.asarray(a, dtype=bool)]
-        covered = chosen.any(axis=0) if chosen.size else np.zeros(universe, dtype=bool)
-        return float(weights[covered].sum())
+        covered = (np.asarray(a, dtype=bool)[..., :, None] & covers).any(axis=-2)
+        return covered @ weights
 
     greedy = solve_greedy(coverage, L0Band(0, k), m)
     _, opt = solve_bruteforce(coverage, L0Band(0, k), m)

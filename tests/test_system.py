@@ -27,7 +27,7 @@ def _const_system(values, m=1, horizon=1.0):
         horizon=horizon,
         vector_field=lambda x, a, t: np.zeros(n),
         running_payoff=lambda x, a, t: 0.0,
-        terminal_payoff=lambda x: float(x[0]),
+        terminal_payoff=lambda x: x[..., 0],
         jac_f_x=lambda x, a, t: np.zeros((n, n)),
         jac_r_x=lambda x, a, t: np.zeros(n),
         jac_q_x=lambda x: np.r_[1.0, np.zeros(n - 1)],
@@ -65,7 +65,7 @@ def test_divergence_reports_knot():
         vector_field=lambda x, a, t: x * x,
         running_payoff=lambda x, a, t: 0.0,
         terminal_payoff=lambda x: 0.0,
-        jac_f_x=lambda x, a, t: np.array([[2.0 * x[0]]]),
+        jac_f_x=lambda x, a, t: 2.0 * x[..., None],
         jac_r_x=lambda x, a, t: np.zeros(1),
         jac_q_x=lambda x: np.zeros(1),
         relaxable=True,
@@ -148,7 +148,7 @@ def test_variational_payoff_blend():
         initial_state=[0.0],
         horizon=1.0,
         vector_field=lambda x, a, t: np.zeros(1),
-        running_payoff=lambda x, a, t: float(a[0]),
+        running_payoff=lambda x, a, t: a[..., 0],
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: np.zeros((1, 1)),
         jac_r_x=lambda x, a, t: np.zeros(1),
