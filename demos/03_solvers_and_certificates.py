@@ -18,6 +18,7 @@ from combidyn import (
     check_concavity_inequality,
     check_monotone,
     check_submodular,
+    linearize,
     matvec,
     payoff_function,
     rowdot,
@@ -53,7 +54,7 @@ spec = SystemSpec(
 )
 grid = TimeGrid(0.5, 201)
 abar = np.zeros(m)
-grad = standard_derivative(spec, abar, grid, "rk4")
+grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
 payoff = payoff_function(spec, grid, "rk4")  # decision rows (..., m) -> payoffs (...)
 
 print("=== gradient at the all-zeros base ===")

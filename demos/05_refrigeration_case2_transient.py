@@ -28,15 +28,11 @@ import numpy as np
 from combidyn import (
     TimeGrid,
     TuRows,
-    certify,
     default_scenario,
-    is_feasible,
-    nonstandard_derivative,
     quadratic_payoff_model,
     run_receding_horizon,
+    slot_picks,
     solve_greedy,
-    solve_tu,
-    standard_derivative,
     step_constraints,
     step_system,
 )
@@ -79,7 +75,7 @@ print()
 print("=== Part 2: transient shutdown separates the two derivatives ===")
 tsc = default_scenario(20, seed=7, transient=True)
 spec = step_system(tsc, tsc.params.x0)
-con, _band = step_constraints(tsc, 1)
+con, band = step_constraints(tsc, 1)
 grid = TimeGrid(tsc.step_hours, 501)
 
 rng = np.random.default_rng(99)
@@ -87,12 +83,9 @@ totals = {"standard": 0.0, "nonstandard": 0.0}
 samples = 30
 for s in range(samples):
     base = np.zeros(20) if s == 0 else rng.integers(0, 2, 20).astype(float)
-    for kind, derive in (("standard", standard_derivative),
-                         ("nonstandard", nonstandard_derivative)):
-        grad = derive(spec, base, grid, "rk4")
-        pick = solve_tu(grad, con.rows, con.rhs)
-        cert = certify(spec, base, grad, pick, grid, "rk4")
-        totals[kind] += cert.applied(is_feasible(con, base))[1]
+    picks = slot_picks(spec, base, con, band, tuple(totals), "tu", grid, "rk4")
+    for kind, pick in picks.items():
+        totals[kind] += pick.payoff
 
 print(f"average slot payoff over {samples} sampled linearization points:")
 print(f"  relaxation-based derivative   : {totals['standard'] / samples:.4f}")

@@ -1,10 +1,10 @@
 """Optimization of binary decision vectors governing ODE systems.
 
-Pipeline: integrate the system (``system``), solve the costate backward
-(``adjoint``), take a payoff derivative in decision space (``gradient``),
-solve the linearized 0-1 program (``solvers``), and certify the result
-(``certify``).  ``refrigeration`` builds the coupled-fleet load-control
-benchmark on top, ``scenario_io``/``cli`` are the batch front end.
+Pipeline: integrate the system (``system``) and solve the costate backward
+(``adjoint``) once at a base point, take payoff derivatives in decision space
+from both (``gradient``), solve the linearized 0-1 program (``solvers``), and
+certify the result (``certify``).  ``refrigeration`` builds the coupled-fleet
+load-control benchmark on top, ``scenario_io``/``cli`` are the batch front end.
 """
 
 from .errors import (
@@ -42,9 +42,11 @@ from .adjoint import hamiltonian, solve_adjoint
 from .gradient import (
     DERIVATIVE_KINDS,
     Gradient,
+    Linearization,
     costate_pairing,
     finite_difference_nonstandard,
     finite_difference_standard,
+    linearize,
     nonstandard_derivative,
     reformulate,
     standard_derivative,
@@ -81,6 +83,7 @@ from .refrigeration import (
     EtpParams,
     QuadraticPayoff,
     Scenario,
+    SlotPick,
     StepResult,
     TargetBandCase,
     TransientConfig,
@@ -93,6 +96,7 @@ from .refrigeration import (
     penalty,
     quadratic_payoff_model,
     run_receding_horizon,
+    slot_picks,
     solve_linearized,
     step_constraints,
     step_system,

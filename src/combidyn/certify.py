@@ -16,7 +16,7 @@ linearized gain certifies the base point itself as optimal.
 
 The certificate requires alpha_star to be an exact maximizer of the
 linearized objective over the feasible set (count-band and TU solvers are
-exact; the greedy knapsack solver is not and does not qualify).
+exact; the greedy knapsack solver is not, so the driver does not offer it).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class CertifiedSolution:
     ``optimal`` marks the degenerate case of zero linearized gain, where the
     base point is certified optimal; ``rho`` is None there and ``rho_post``
     reports 1.0 (the bound holds with coefficient one since the normalized
-    optimum is zero).
+    optimum is zero).  ``end_state`` is the final state of alpha_star's path.
     """
 
     alpha_star: np.ndarray
@@ -63,6 +63,7 @@ class CertifiedSolution:
     alpha_post: np.ndarray
     payoff_post: float
     base_payoff: float
+    end_state: np.ndarray
 
     def __post_init__(self):
         if self.rho_post < 0.0:
@@ -89,7 +90,7 @@ def certify(
 
     Payoffs are normalized by subtracting the cached base payoff; the spec
     itself is never mutated.  One extra integration (for alpha_star) is the
-    only dynamical-system work.
+    only dynamical-system work, and its end state is kept.
     """
     abar = as_binary(alpha_bar, spec.decision_dim)
     astar = as_binary(alpha_star, spec.decision_dim)
@@ -99,7 +100,8 @@ def certify(
         raise DimensionError("gradient was computed at a different base point")
 
     j_base = grad.base_payoff
-    j_star = evaluate_payoff(spec, integrate(spec, astar, grid, scheme), astar)
+    star = integrate(spec, astar, grid, scheme)
+    j_star = evaluate_payoff(spec, star, astar)
     gain = float(grad.entries @ (astar - abar))
 
     optimal = abs(gain) < _ZERO_GAIN_TOL
@@ -115,6 +117,7 @@ def certify(
         alpha_post=alpha_post,
         payoff_post=payoff_post,
         base_payoff=j_base,
+        end_state=star.final_state,
     )
 
 

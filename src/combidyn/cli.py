@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .certify import certify, check_concavity_inequality, monotonicity_report, submodularity_report
+from .certify import check_concavity_inequality, monotonicity_report, submodularity_report
 from .errors import (
     CombidynError,
     ConstraintError,
@@ -32,17 +32,16 @@ from .errors import (
     InfeasibleError,
     ScenarioError,
 )
-from .gradient import nonstandard_derivative, standard_derivative
+from .gradient import derivative, linearize
 from .refrigeration import (
     Scenario,
     run_receding_horizon,
     slot_payoff,
-    solve_linearized,
+    slot_picks,
     step_constraints,
     step_system,
 )
 from .scenario_io import parse_scenario
-from .solvers import is_feasible
 from .system import TimeGrid
 
 _CONFIG_ERRORS = (ScenarioError, ConstraintError, DimensionError, EnumerationRefusedError)
@@ -72,7 +71,6 @@ def _horizon(config: argparse.Namespace, scenario: Scenario):
         solver=config.solver,
         grid_points=config.grid,
         scheme=config.scheme,
-        seed=config.seed,
         with_oracle=config.command == "oracle",
     )
 
@@ -178,38 +176,26 @@ def _single_kind(config: argparse.Namespace) -> str:
     return "nonstandard" if config.derivative == "nonstandard" else "standard"
 
 
-def _derive(kind: str, spec, abar, grid, scheme):
-    derive = standard_derivative if kind == "standard" else nonstandard_derivative
-    return derive(spec, abar, grid, scheme)
-
-
 def _sampled_picks(config: argparse.Namespace, scenario: Scenario, kinds):
     """Certified first-slot picks at sampled linearization points: all-zeros
     first, then ``samples - 1`` uniform draws.  Yields (index, base, picks)
-    with picks[kind] = (gradient, certificate, applied payoff)."""
+    with picks[kind] a :class:`SlotPick`."""
     spec, con, band, grid = _first_slot(config, scenario)
     m = scenario.params.m
     rng = np.random.default_rng(config.seed)
     bases = [np.zeros(m)] + [rng.integers(0, 2, m).astype(float) for _ in range(config.samples - 1)]
     for idx, abar in enumerate(bases):
-        base_feasible = is_feasible(con, abar)
-        picks = {}
-        for kind in kinds:
-            grad = _derive(kind, spec, abar, grid, config.scheme)
-            alpha_star = solve_linearized(grad, con, band, config.solver, scenario)
-            cert = certify(spec, abar, grad, alpha_star, grid, config.scheme)
-            picks[kind] = (grad, cert, cert.applied(base_feasible)[1])
-        yield idx, abar, picks
+        yield idx, abar, slot_picks(spec, abar, con, band, kinds, config.solver, grid, config.scheme)
 
 
 def _cmd_sweep(config: argparse.Namespace, scenario: Scenario):
     kind = _single_kind(config)
     rows = []
     for idx, abar, picks in _sampled_picks(config, scenario, (kind,)):
-        _grad, cert, payoff = picks[kind]
+        pick = picks[kind]
         if idx == 0:
-            baseline = cert.base_payoff  # sample 0 linearizes at all-off
-        rows.append((idx, abar, payoff - baseline, cert.rho_post))
+            baseline = pick.cert.base_payoff  # sample 0 linearizes at all-off
+        rows.append((idx, abar, pick.payoff - baseline, pick.cert.rho_post))
     if config.format == "csv":
         lines = ["sample,alpha_bar,payoff_gain,rho_post"]
         for idx, abar, gain, rho_post in rows:
@@ -228,9 +214,9 @@ def _cmd_compare(config: argparse.Namespace, scenario: Scenario):
     rows = []
     kinds = ("standard", "nonstandard")
     for idx, abar, picks in _sampled_picks(config, scenario, kinds):
-        (g_std, _, p_std), (g_ns, _, p_ns) = (picks[kind] for kind in kinds)
-        gdiff = float(np.max(np.abs(g_std.entries - g_ns.entries)))
-        rows.append((idx, abar, p_std, p_ns, gdiff))
+        std, ns = (picks[kind] for kind in kinds)
+        gdiff = float(np.max(np.abs(std.grad.entries - ns.grad.entries)))
+        rows.append((idx, abar, std.payoff, ns.payoff, gdiff))
     avg_std = float(np.mean([r[2] for r in rows]))
     avg_ns = float(np.mean([r[3] for r in rows]))
     max_gdiff = max(r[4] for r in rows)
@@ -253,7 +239,7 @@ def _cmd_compare(config: argparse.Namespace, scenario: Scenario):
 def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
     spec, _con, _band, grid = _first_slot(config, scenario)
     abar = np.zeros(scenario.params.m)
-    grad = _derive(_single_kind(config), spec, abar, grid, config.scheme)
+    grad = derivative(linearize(spec, abar, grid, config.scheme), _single_kind(config))
     payoff_fn = slot_payoff(scenario, spec, grid, config.scheme)
     report = check_concavity_inequality(spec, abar, grad, grid, config.scheme, payoff_fn=payoff_fn)
     verdict = "pass" if report.holds else "FAIL"
@@ -308,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--derivative", default="standard", choices=("standard", "nonstandard", "both")
         )
-        p.add_argument("--solver", default="tu", choices=("l0", "tu", "knapsack", "oracle"))
+        p.add_argument("--solver", default="tu", choices=("l0", "tu", "oracle"))
         p.add_argument("--grid", type=int, default=201, help="time points per slot")
         p.add_argument("--scheme", default="euler", choices=("euler", "rk4"))
         p.add_argument("--seed", type=int, default=0)

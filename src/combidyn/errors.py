@@ -10,19 +10,19 @@ class DimensionError(CombidynError):
 
 
 class IntegrationDivergedError(CombidynError):
-    """Forward integration produced a non-finite state."""
+    """Forward integration produced a non-finite state or payoff."""
+
+    quantity = "state"
 
     def __init__(self, knot_index, message=None):
         self.knot_index = knot_index
-        super().__init__(message or f"non-finite state at knot {knot_index}")
+        super().__init__(message or f"non-finite {self.quantity} at knot {knot_index}")
 
 
-class AdjointDivergedError(CombidynError):
+class AdjointDivergedError(IntegrationDivergedError):
     """Backward costate integration produced a non-finite value."""
 
-    def __init__(self, knot_index, message=None):
-        self.knot_index = knot_index
-        super().__init__(message or f"non-finite costate at knot {knot_index}")
+    quantity = "costate"
 
 
 class NotRelaxableError(CombidynError):

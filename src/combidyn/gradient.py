@@ -3,9 +3,8 @@
 Two derivative concepts are provided:
 
 * ``standard``: relax the decision into the unit box and differentiate as
-  usual.  Computed with one forward and one costate solve, then a quadrature
-  of  jac_f_alpha^T lam + jac_r_alpha^T  along the path.  Needs the system to
-  be relaxable.
+  usual.  A quadrature of  jac_f_alpha^T lam + jac_r_alpha^T  along the
+  base path.  Needs the system to be relaxable.
 
 * ``nonstandard``: vary the vector field and running payoff by convex
   combination instead of varying the decision.  Entry i weighs the field and
@@ -14,10 +13,10 @@ Two derivative concepts are provided:
   down, with the quotient's sign matching).  Needs no smoothness in the
   decision and never evaluates off binary points.
 
-Both cost one forward + one costate solve plus O(m) work per knot, done in
-one broadcast callback call over all knots (and, for the convex-combination
-derivative, all m flips).  For decision-affine systems the two derivatives
-coincide.
+Both read one :class:`Linearization` (the base point's forward and costate
+solves, made once by :func:`linearize`) and add O(m) work per knot in one
+broadcast callback call over all knots (and, for the convex-combination
+derivative, all m flips).  For decision-affine systems they coincide.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .adjoint import solve_adjoint
 from .system import (
     SystemSpec,
     TimeGrid,
+    Trajectory,
     as_binary,
     broadcast_result,
     evaluate_payoff,
@@ -47,6 +47,25 @@ DERIVATIVE_KINDS = ("standard", "nonstandard")
 # Step for the central-difference fallback when analytic decision-Jacobians
 # are absent from a relaxable spec.
 _JAC_FD_STEP = 1e-5
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """A binary base point with its forward path, costate and payoff."""
+
+    spec: SystemSpec
+    base_point: np.ndarray
+    forward: Trajectory
+    costate: Trajectory
+    base_payoff: float
+
+
+def linearize(spec: SystemSpec, alpha_bar, grid: TimeGrid, scheme: str = "euler") -> Linearization:
+    """One forward pass, one costate pass and the payoff at a binary base point."""
+    abar = as_binary(alpha_bar, spec.decision_dim)
+    forward = integrate(spec, abar, grid, scheme)
+    costate = solve_adjoint(spec, abar, forward, scheme)
+    return Linearization(spec, abar, forward, costate, evaluate_payoff(spec, forward, abar))
 
 
 @dataclass(frozen=True)
@@ -81,25 +100,21 @@ def _fd_jac_alpha(fn, X, alpha, times):
     return (np.asarray(hi, dtype=float) - lo) / (2.0 * _JAC_FD_STEP)
 
 
-def standard_derivative(
-    spec: SystemSpec, alpha_bar, grid: TimeGrid, scheme: str = "euler"
-) -> Gradient:
+def standard_derivative(lin: Linearization) -> Gradient:
     """Relaxation-based derivative via the costate quadrature.
 
     Uses the spec's analytic decision-Jacobians when present, otherwise a
     pointwise central-difference fallback along the stored trajectory.
     """
+    spec = lin.spec
     if not spec.relaxable:
         raise NotRelaxableError(
             "the relaxation-based derivative needs a system defined on the unit box"
         )
-    abar = as_binary(alpha_bar, spec.decision_dim)
-    forward = integrate(spec, abar, grid, scheme)
-    costate = solve_adjoint(spec, abar, forward, scheme)
-
+    abar, grid = lin.base_point, lin.forward.grid
     n, m, N = spec.state_dim, spec.decision_dim, grid.num_points
     times = grid.times
-    X, L = forward.values, costate.values
+    X, L = lin.forward.values, lin.costate.values
     if spec.jac_f_alpha is not None:
         Fa = spec.jac_f_alpha(X, abar, times)
     else:
@@ -112,10 +127,8 @@ def standard_derivative(
     Ra = broadcast_result(Ra, (N, m), "jac_r_alpha")
     # Row k is Fa[k].T @ lam[k] + Ra[k], the same BLAS call per knot.
     integrand = (L[:, None, :] @ Fa)[:, 0, :] + Ra
-
     entries = trapezoid_weights(grid) @ integrand
-    base_payoff = evaluate_payoff(spec, forward, abar)
-    return Gradient("standard", abar, entries, base_payoff)
+    return Gradient("standard", abar, entries, lin.base_payoff)
 
 
 def costate_pairing(spec: SystemSpec, alpha_bar, alpha_to, forward, costate):
@@ -137,24 +150,23 @@ def costate_pairing(spec: SystemSpec, alpha_bar, alpha_to, forward, costate):
     return rowdot(vals, trapezoid_weights(forward.grid))
 
 
-def nonstandard_derivative(
-    spec: SystemSpec, alpha_bar, grid: TimeGrid, scheme: str = "euler"
-) -> Gradient:
+def nonstandard_derivative(lin: Linearization) -> Gradient:
     """Convex-combination derivative via the costate quadrature.
 
     Entry i integrates the field/payoff difference between the base decision
     and its bit-i flip, weighted by the costate; downward flips enter with a
     minus sign so the entry is always the sensitivity of turning bit i on.
     """
-    abar = as_binary(alpha_bar, spec.decision_dim)
-    forward = integrate(spec, abar, grid, scheme)
-    costate = solve_adjoint(spec, abar, forward, scheme)
-
+    abar = lin.base_point
     flips = np.abs(abar - np.eye(abar.size))  # row i is abar with bit i flipped
     sign = np.where(abar == 0.0, 1.0, -1.0)
-    entries = sign * costate_pairing(spec, abar, flips, forward, costate)
-    base_payoff = evaluate_payoff(spec, forward, abar)
-    return Gradient("nonstandard", abar, entries, base_payoff)
+    entries = sign * costate_pairing(lin.spec, abar, flips, lin.forward, lin.costate)
+    return Gradient("nonstandard", abar, entries, lin.base_payoff)
+
+
+def derivative(lin: Linearization, kind: str) -> Gradient:
+    """The ``standard`` derivative at a linearization, else the nonstandard one."""
+    return standard_derivative(lin) if kind == "standard" else nonstandard_derivative(lin)
 
 
 def reformulate(spec: SystemSpec) -> SystemSpec:

@@ -19,22 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .certify import certify
-from .errors import ConstraintError, DimensionError, InfeasibleError
-from .gradient import Gradient, nonstandard_derivative, standard_derivative
-from .solvers import (
-    TuRows,
-    integer_array,
-    is_feasible,
-    solve_bruteforce,
-    solve_knapsack,
-    solve_l0,
-    solve_tu,
-)
+from .certify import CertifiedSolution, certify
+from .errors import ConstraintError, DimensionError, InfeasibleError, IntegrationDivergedError
+from .gradient import Gradient, derivative, linearize
+from .solvers import TuRows, integer_array, is_feasible, solve_bruteforce, solve_l0, solve_tu
 from .system import (
     SystemSpec,
     TimeGrid,
@@ -570,33 +562,41 @@ def step_system(scenario: Scenario, x_now: np.ndarray) -> SystemSpec:
     )
 
 
-def _pick_base(policy, k, prev_alpha, m, rng) -> np.ndarray:
-    if callable(policy):
-        return np.asarray(policy(k, prev_alpha, m, rng), dtype=float)
-    if policy == "zeros":
-        return np.zeros(m)
-    if policy == "previous":
-        return prev_alpha.copy()
-    if policy == "random":
-        return rng.integers(0, 2, m).astype(float)
-    raise ConstraintError(f"unknown linearization policy {policy!r}")
-
-
-def solve_linearized(grad: Gradient, con: TuRows, band, solver: str, scenario: Scenario):
+def solve_linearized(grad: Gradient, con: TuRows, band, solver: str):
     if solver == "tu":
         return solve_tu(grad, con.rows, con.rhs)
     if solver == "l0":
         if band is None:
             raise ConstraintError("the count-band solver applies to target-band cases only")
         return solve_l0(grad, band[0], band[1])
-    if solver == "knapsack":
-        if band is None or band[0] > 0:
-            raise ConstraintError(
-                "the knapsack solver applies to target bands with a zero lower band"
-            )
-        cap = float(band[1]) * scenario.params.c[0]
-        return solve_knapsack(grad, scenario.params.c, cap)
     raise ConstraintError(f"unknown solver {solver!r}")
+
+
+class SlotPick(NamedTuple):
+    """A kind's certified pick and the applied decision, payoff and end state."""
+
+    grad: Gradient
+    cert: CertifiedSolution
+    alpha: np.ndarray
+    payoff: float
+    end_state: np.ndarray
+
+
+def slot_picks(spec: SystemSpec, alpha_bar, con: TuRows, band, kinds, solver, grid, scheme):
+    """Linearize once at ``alpha_bar``, then derive, solve, certify and apply
+    per derivative kind: {kind: SlotPick} in the order of ``kinds``.  End
+    states come from paths already integrated (the pick's or the base's)."""
+    lin = linearize(spec, alpha_bar, grid, scheme)
+    base_feasible = is_feasible(con, lin.base_point)
+    picks = {}
+    for kind in kinds:
+        grad = derivative(lin, kind)
+        alpha_star = solve_linearized(grad, con, band, solver)
+        cert = certify(spec, lin.base_point, grad, alpha_star, grid, scheme)
+        alpha, payoff = cert.applied(base_feasible)
+        end = cert.end_state if np.array_equal(alpha, cert.alpha_star) else lin.forward.final_state
+        picks[kind] = SlotPick(grad, cert, alpha, payoff, end)
+    return picks
 
 
 def slot_payoff(scenario: Scenario, spec: SystemSpec, grid: TimeGrid, scheme: str):
@@ -612,72 +612,61 @@ def slot_payoff(scenario: Scenario, spec: SystemSpec, grid: TimeGrid, scheme: st
 def run_receding_horizon(
     scenario: Scenario,
     kind: str = "standard",
-    linearization="zeros",
     solver: str = "tu",
     grid_points: int = 201,
     scheme: str = "euler",
-    seed: int = 0,
     with_oracle: bool = False,
 ):
     """Roll the fleet forward one slot at a time.
 
-    Per step: build the slot system from the carried temperatures, take the
-    requested payoff derivative at the linearization point (all-zeros by
-    default), solve the linearized 0-1 program, certify, and apply the
-    post-processed decision (falling back to the solver output if the base
-    point is infeasible for this step's constraints, see
-    :meth:`CertifiedSolution.applied`).  ``kind="both"`` solves with both
-    derivative concepts and applies the decision with the better applied
-    payoff.  ``solver="oracle"`` applies the exact per-slot optimum
-    instead.  ``with_oracle=True`` additionally reports the exact optimum
-    and the achieved optimality ratio along the applied path.
+    Per step: build the slot system from the carried temperatures and run
+    :func:`slot_picks` at the all-zeros base point.  ``kind="both"`` applies
+    the decision of the derivative concept with the better applied payoff.
+    ``solver="oracle"`` applies the exact per-slot optimum instead.
+    ``with_oracle=True`` additionally reports the exact optimum and the
+    achieved optimality ratio along the applied path.  A diverging
+    integration or costate raises with the step in its message.
     """
     m = scenario.params.m
-    rng = np.random.default_rng(seed)
     grid = TimeGrid(scenario.step_hours, grid_points)
     x = scenario.params.x0.copy()
-    prev_alpha = np.zeros(m)
     results = []
 
     for k in range(1, scenario.num_steps + 1):
         spec = step_system(scenario, x)
         con, band = step_constraints(scenario, k)
-        abar = _pick_base(linearization, k, prev_alpha, m, rng)
-
-        if solver == "oracle":
-            applied, applied_payoff = solve_bruteforce(slot_payoff(scenario, spec, grid, scheme), con, m)
-            base_traj = integrate(spec, abar, grid, scheme)
-            base_payoff = evaluate_payoff(spec, base_traj, abar)
-            rho, rho_post, optimal, used_kind = None, 1.0, True, "oracle"
-        else:
-            kinds = ("standard", "nonstandard") if kind == "both" else (kind,)
-            base_feasible = is_feasible(con, abar)
-            best = None
-            for one in kinds:
-                derive = standard_derivative if one == "standard" else nonstandard_derivative
-                grad = derive(spec, abar, grid, scheme)
-                alpha_star = solve_linearized(grad, con, band, solver, scenario)
-                cert = certify(spec, abar, grad, alpha_star, grid, scheme)
-                alpha, payoff = cert.applied(base_feasible)
+        abar = np.zeros(m)  # a fresh base point: the slot may apply it as its decision
+        try:
+            if solver == "oracle":
+                objective = slot_payoff(scenario, spec, grid, scheme)
+                applied, applied_payoff = solve_bruteforce(objective, con, m)
+                # The base point and the optimum as one stack: base payoff, end state.
+                stack = np.stack([abar, applied])
+                paths = integrate(spec, stack, grid, scheme)
+                base_payoff = float(evaluate_payoff(spec, paths, stack)[0])
+                end = paths.final_state[1]
+                rho, rho_post, optimal, used_kind = None, 1.0, True, "oracle"
+            else:
+                kinds = ("standard", "nonstandard") if kind == "both" else (kind,)
+                picks = slot_picks(spec, abar, con, band, kinds, solver, grid, scheme)
                 # Ties keep the first kind, so "both" prefers the standard one.
-                if best is None or payoff > best[3]:
-                    best = (one, cert, alpha, payoff)
-            used_kind, cert, applied, applied_payoff = best
-            base_payoff = cert.base_payoff
-            rho, rho_post, optimal = cert.rho, cert.rho_post, cert.optimal
+                used_kind = max(picks, key=lambda one: picks[one].payoff)
+                _grad, cert, applied, applied_payoff, end = picks[used_kind]
+                base_payoff = cert.base_payoff
+                rho, rho_post, optimal = cert.rho, cert.rho_post, cert.optimal
 
-        oracle_payoff = oracle_ratio = None
-        if with_oracle and solver != "oracle":
-            _, oracle_payoff = solve_bruteforce(slot_payoff(scenario, spec, grid, scheme), con, m)
-            gain_opt = oracle_payoff - base_payoff
-            gain_got = applied_payoff - base_payoff
-            oracle_ratio = 1.0 if gain_opt <= 1e-12 * (1 + abs(oracle_payoff)) else gain_got / gain_opt
-        elif with_oracle:
-            oracle_payoff, oracle_ratio = applied_payoff, 1.0
+            oracle_payoff = oracle_ratio = None
+            if with_oracle and solver != "oracle":
+                _, oracle_payoff = solve_bruteforce(slot_payoff(scenario, spec, grid, scheme), con, m)
+                gain_opt = oracle_payoff - base_payoff
+                small = gain_opt <= 1e-12 * (1 + abs(oracle_payoff))
+                oracle_ratio = 1.0 if small else (applied_payoff - base_payoff) / gain_opt
+            elif with_oracle:
+                oracle_payoff, oracle_ratio = applied_payoff, 1.0
+        except IntegrationDivergedError as exc:  # the costate's error included
+            raise type(exc)(exc.knot_index, f"{exc} (step {k})") from None
 
-        traj = integrate(spec, applied, grid, scheme)
-        x = traj.final_state.copy()
-        prev_alpha = applied
+        x = end
         results.append(
             StepResult(
                 step=k,
@@ -686,7 +675,7 @@ def run_receding_horizon(
                 rho=rho,
                 rho_post=rho_post,
                 optimal=optimal,
-                temperatures_end=x.copy(),
+                temperatures_end=end.copy(),
                 power_kw=float(scenario.params.c @ applied),
                 kind=used_kind,
                 base_payoff=base_payoff,

@@ -272,6 +272,10 @@ def payoff_functional(spec: SystemSpec, traj: Trajectory, beta):
     total = rowdot(rows, trapezoid_weights(traj.grid)) + np.asarray(
         spec.terminal_payoff(X[-1]), dtype=float
     )
+    if not np.all(np.isfinite(total)):  # name the first knot that overflows
+        finite = np.isfinite(rvals).reshape(len(X), -1).all(axis=1)
+        knot = len(X) - 1 if finite.all() else int(np.argmin(finite))
+        raise IntegrationDivergedError(knot, f"non-finite payoff at knot {knot}")
     return total if total.ndim else float(total)
 
 

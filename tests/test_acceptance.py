@@ -28,6 +28,7 @@ from combidyn import (
     finite_difference_standard,
     integrate,
     is_feasible,
+    linearize,
     nonstandard_derivative,
     quadratic_payoff_model,
     reformulate,
@@ -111,7 +112,7 @@ def test_criterion_02_gradient_correctness():
         spec = random_poly_system(rng, n, m)
         grid = TimeGrid(spec.horizon, 401)
         abar = rng.integers(0, 2, m).astype(float)
-        grad = standard_derivative(spec, abar, grid, "rk4")
+        grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
         for i in range(m):
             fd = finite_difference_standard(spec, abar, i, h_fd, grid, "rk4")
             assert abs(fd - grad.entries[i]) < tol
@@ -133,7 +134,7 @@ def test_criterion_03_nonstandard_limit():
         grid = TimeGrid(spec.horizon, 401)
         abar = rng.integers(0, 2, m).astype(float)
         i = int(rng.integers(0, m))
-        grad = nonstandard_derivative(spec, abar, grid, "rk4")
+        grad = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
         floor = 1e-9 * (1.0 + abs(grad.entries[i]))
         errs = [
             abs(finite_difference_nonstandard(spec, abar, i, eps, grid, "rk4") - grad.entries[i])
@@ -155,14 +156,14 @@ def test_criterion_04_affine_equivalence():
         spec = random_affine_system(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
         grid = TimeGrid(spec.horizon, 301)
         abar = rng.integers(0, 2, spec.decision_dim).astype(float)
-        g_std = standard_derivative(spec, abar, grid, "rk4")
-        g_ns = nonstandard_derivative(spec, abar, grid, "rk4")
+        g_std = standard_derivative(linearize(spec, abar, grid, "rk4"))
+        g_ns = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
         worst = max(worst, float(np.max(np.abs(g_std.entries - g_ns.entries))))
     fleet = build_etp_system(default_fleet(20, seed=7), 0.25)
     grid = TimeGrid(0.25, 201)
     for abar in (np.zeros(20), rng.integers(0, 2, 20).astype(float)):
-        g_std = standard_derivative(fleet, abar, grid, "rk4")
-        g_ns = nonstandard_derivative(fleet, abar, grid, "rk4")
+        g_std = standard_derivative(linearize(fleet, abar, grid, "rk4"))
+        g_ns = nonstandard_derivative(linearize(fleet, abar, grid, "rk4"))
         worst = max(worst, float(np.max(np.abs(g_std.entries - g_ns.entries))))
     assert worst <= 1e-8
     return f"worst gap {worst:.2e}"
@@ -183,8 +184,8 @@ def test_criterion_05_reformulation_identities():
             j = evaluate_payoff(spec, integrate(spec, a, grid), a)
             j_hat = evaluate_payoff(hat, integrate(hat, a, grid), a)
             worst_j = max(worst_j, abs(j - j_hat))
-            g_hat = standard_derivative(hat, a, grid)
-            g_ns = nonstandard_derivative(spec, a, grid)
+            g_hat = standard_derivative(linearize(hat, a, grid))
+            g_ns = nonstandard_derivative(linearize(spec, a, grid))
             worst_g = max(worst_g, float(np.max(np.abs(g_hat.entries - g_ns.entries))))
     assert worst_j <= 1e-6
     assert worst_g <= 1e-6
@@ -197,8 +198,8 @@ def test_criterion_06_bias_example():
     grid = TimeGrid(1.0, 801)
     abar = np.array([1.0, 1.0])
 
-    g_std = standard_derivative(spec, abar, grid, "rk4")
-    g_ns = nonstandard_derivative(spec, abar, grid, "rk4")
+    g_std = standard_derivative(linearize(spec, abar, grid, "rk4"))
+    g_ns = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
     pick_std = solve_l0(g_std, 0, 1)
     pick_ns = solve_l0(g_ns, 0, 1)
     assert np.array_equal(pick_std, [1.0, 0.0])
@@ -242,7 +243,7 @@ def test_criterion_07_certificates():
         con = _random_constraints(rng, m)
         abar = np.zeros(m)
         assert is_feasible(con, abar)
-        grad = standard_derivative(spec, abar, grid, "rk4")
+        grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
         # the certificate premise needs the exact linearized argmax
         astar, _ = solve_bruteforce(lambda A: A @ grad.entries, con, m)
         cert = certify(spec, abar, grad, astar, grid, "rk4")
@@ -401,8 +402,8 @@ def test_criterion_12_transient_comparison():
     lam = solve_adjoint(spec, abar, fwd, "rk4")
     w = trapezoid_weights(fine)
     t = fine.times
-    g_std = standard_derivative(spec, abar, fine, "rk4")
-    g_ns = nonstandard_derivative(spec, abar, fine, "rk4")
+    g_std = standard_derivative(linearize(spec, abar, fine, "rk4"))
+    g_ns = nonstandard_derivative(linearize(spec, abar, fine, "rk4"))
     for i in members:
         lam_i = lam.values[:, i]
         closed_std = -params.b[i] * xi * float(w @ (t * np.exp(-xi * (1.0 - abar[i]) * t) * lam_i))
@@ -424,11 +425,12 @@ def test_criterion_12_transient_comparison():
     totals = {"standard": 0.0, "nonstandard": 0.0}
     for s in range(100):
         base = np.zeros(20) if s == 0 else sample_rng.integers(0, 2, 20).astype(float)
+        lin = linearize(slot, base, grid, "rk4")
         for kind, derive in (
             ("standard", standard_derivative),
             ("nonstandard", nonstandard_derivative),
         ):
-            grad = derive(slot, base, grid, "rk4")
+            grad = derive(lin)
             astar = solve_tu(grad, con.rows, con.rhs)
             cert = certify(slot, base, grad, astar, grid, "rk4")
             totals[kind] += cert.payoff_post if is_feasible(con, base) else cert.payoff

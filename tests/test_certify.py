@@ -14,6 +14,7 @@ from combidyn import (
     check_submodular,
     evaluate_payoff,
     integrate,
+    linearize,
     monotonicity_report,
     nonstandard_derivative,
     reformulate,
@@ -42,7 +43,7 @@ def test_certify_zero_gain_flags_base_optimal():
     spec = scalar_affine_system()
     grid = _grid(spec)
     abar = np.zeros(1)
-    grad = standard_derivative(spec, abar, grid, "rk4")
+    grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     cert = certify(spec, abar, grad, abar, grid, "rk4")
     assert cert.optimal and cert.rho is None
     assert cert.rho_post == 1.0
@@ -53,7 +54,7 @@ def test_certify_post_processing_is_exact_max():
     spec = scalar_affine_system()
     grid = _grid(spec)
     abar = np.zeros(1)
-    grad = standard_derivative(spec, abar, grid, "rk4")
+    grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     astar = np.ones(1)
     cert = certify(spec, abar, grad, astar, grid, "rk4")
     assert cert.payoff_post == max(cert.payoff, cert.base_payoff)
@@ -64,7 +65,7 @@ def test_certify_post_processing_is_exact_max():
 def test_certify_base_point_mismatch():
     spec = scalar_affine_system()
     grid = _grid(spec)
-    grad = standard_derivative(spec, np.zeros(1), grid, "rk4")
+    grad = standard_derivative(linearize(spec, np.zeros(1), grid, "rk4"))
     with pytest.raises(DimensionError):
         certify(spec, np.ones(1), grad, np.ones(1), grid, "rk4")
 
@@ -96,7 +97,7 @@ def test_certificate_bound_on_concave_instances(seed):
     _c0, _g, _H, batch = concave_quadratic_oracle(spec, pieces, grid, "rk4")
 
     abar = np.zeros(m)
-    grad = standard_derivative(spec, abar, grid, "rk4")
+    grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     con = _random_constraints(rng, m)
     # the certificate needs the exact argmax of the linearized objective
     astar, _ = solve_bruteforce(lambda A: A @ grad.entries, con, m)
@@ -114,7 +115,7 @@ def test_concavity_check_passes_on_concave_instance():
     spec, pieces = random_concave_instance(rng, 2, 4)
     grid = _grid(spec)
     abar = np.zeros(4)
-    grad = standard_derivative(spec, abar, grid, "rk4")
+    grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     report = check_concavity_inequality(spec, abar, grad, grid, "rk4")
     assert report.holds
     assert report.checked == 16
@@ -124,7 +125,7 @@ def test_concavity_check_fails_on_convex_square_payoff():
     spec = coupled_square_system(sign=+1.0)
     grid = _grid(spec)
     abar = np.zeros(2)
-    grad = standard_derivative(spec, abar, grid, "rk4")
+    grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     report = check_concavity_inequality(spec, abar, grad, grid, "rk4")
     assert not report.holds
     assert report.worst_violation > 1e-3
@@ -134,7 +135,7 @@ def test_concavity_check_single_bit():
     spec = scalar_affine_system()
     grid = _grid(spec)
     abar = np.zeros(1)
-    grad = standard_derivative(spec, abar, grid, "rk4")
+    grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     report = check_concavity_inequality(spec, abar, grad, grid, "rk4")
     # affine-in-decision scalar system: linearization is exact up to
     # integration curvature in the decision, which is concave here
@@ -174,10 +175,10 @@ def test_nonstandard_certificate_via_reformulated_concavity():
     abar = np.zeros(m)
 
     hat = reformulate(spec)
-    hat_grad = standard_derivative(hat, abar, grid, "rk4")
+    hat_grad = standard_derivative(linearize(hat, abar, grid, "rk4"))
     assert check_concavity_inequality(hat, abar, hat_grad, grid, "rk4").holds
 
-    grad = nonstandard_derivative(spec, abar, grid, "rk4")
+    grad = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
     con = L0Band(0, 2)
     astar = solve_l0(grad, 0, 2)
     cert = certify(spec, abar, grad, astar, grid, "rk4")
@@ -250,7 +251,7 @@ def test_applied_decision_falls_back_to_pick_at_infeasible_base():
     spec = scalar_affine_system()
     grid = _grid(spec)
     abar = np.zeros(1)
-    grad = standard_derivative(spec, abar, grid, "rk4")
+    grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     cert = certify(spec, abar, grad, np.ones(1), grid, "rk4")
     alpha, payoff = cert.applied(True)
     assert np.array_equal(alpha, cert.alpha_post) and payoff == cert.payoff_post

@@ -14,6 +14,7 @@ from combidyn import (
     default_fleet,
     evaluate_payoff,
     integrate,
+    linearize,
     nonstandard_derivative,
     payoff_function,
     quadratic_payoff_model,
@@ -133,7 +134,7 @@ def test_nonstandard_entries_equal_single_flip_pairings():
     spec = _transient()
     grid = TimeGrid(SLOT, 41)
     abar = np.random.default_rng(8).integers(0, 2, spec.decision_dim).astype(float)
-    grad = nonstandard_derivative(spec, abar, grid, "rk4")
+    grad = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
     forward = integrate(spec, abar, grid, "rk4")
     costate = solve_adjoint(spec, abar, forward, "rk4")
     for i in range(spec.decision_dim):

@@ -12,6 +12,7 @@ from combidyn import (
     finite_difference_nonstandard,
     finite_difference_standard,
     integrate,
+    linearize,
     nonstandard_derivative,
     reformulate,
     solve_adjoint,
@@ -39,20 +40,20 @@ def _grid(spec, n=801):
 
 def test_standard_scalar_affine_value():
     spec = scalar_affine_system()
-    grad = standard_derivative(spec, [0.0], _grid(spec, 1001), "rk4")
+    grad = standard_derivative(linearize(spec, [0.0], _grid(spec, 1001), "rk4"))
     assert abs(grad.entries[0] - (E - 2.0)) < 1e-4
     assert abs(grad.base_payoff - 0.0) < 1e-6  # J at alpha = 0 with x(0) = 0
 
 
 def test_standard_zero_when_decision_free():
     spec = scalar_exp_system()
-    grad = standard_derivative(spec, [1.0], _grid(spec, 301), "rk4")
+    grad = standard_derivative(linearize(spec, [1.0], _grid(spec, 301), "rk4"))
     assert np.allclose(grad.entries, 0.0, atol=1e-12)
 
 
 def test_standard_bias_ratio():
     spec = cubic_bias_system()
-    grad = standard_derivative(spec, [1.0, 1.0], _grid(spec, 1001), "rk4")
+    grad = standard_derivative(linearize(spec, [1.0, 1.0], _grid(spec, 1001), "rk4"))
     assert grad.entries[1] > 0
     assert abs(grad.entries[0] / grad.entries[1] - 1.5) < 1e-3
 
@@ -60,27 +61,27 @@ def test_standard_bias_ratio():
 def test_standard_requires_relaxable():
     spec = random_nonrelaxable_system(np.random.default_rng(0), 2, 2)
     with pytest.raises(NotRelaxableError):
-        standard_derivative(spec, [0.0, 0.0], _grid(spec, 101))
+        standard_derivative(linearize(spec, [0.0, 0.0], _grid(spec, 101)))
 
 
 def test_standard_jacobian_fallback():
     spec = cubic_bias_system()
     stripped = dataclasses.replace(spec, jac_f_alpha=None, jac_r_alpha=None)
     grid = _grid(spec, 401)
-    exact = standard_derivative(spec, [1.0, 0.0], grid, "rk4")
-    fallback = standard_derivative(stripped, [1.0, 0.0], grid, "rk4")
+    exact = standard_derivative(linearize(spec, [1.0, 0.0], grid, "rk4"))
+    fallback = standard_derivative(linearize(stripped, [1.0, 0.0], grid, "rk4"))
     assert np.max(np.abs(exact.entries - fallback.entries)) < 1e-6
 
 
 def test_nonstandard_zero_when_decision_free():
     spec = scalar_exp_system()
-    grad = nonstandard_derivative(spec, [1.0], _grid(spec, 301), "rk4")
+    grad = nonstandard_derivative(linearize(spec, [1.0], _grid(spec, 301), "rk4"))
     assert np.allclose(grad.entries, 0.0, atol=1e-12)
 
 
 def test_nonstandard_bias_ratio():
     spec = cubic_bias_system()
-    grad = nonstandard_derivative(spec, [1.0, 1.0], _grid(spec, 1001), "rk4")
+    grad = nonstandard_derivative(linearize(spec, [1.0, 1.0], _grid(spec, 1001), "rk4"))
     assert grad.entries[1] > 0
     assert abs(grad.entries[0] / grad.entries[1] - 0.5) < 1e-3
 
@@ -90,7 +91,7 @@ def test_nonstandard_additive_exponential_closed_form(abar):
     # Every entry is (exp(-1) - 1) * integral of the costate, regardless of
     # the base bit; with T = 1 the costate integral is e - 2.
     spec = exp_additive_system(m=3)
-    grad = nonstandard_derivative(spec, list(abar), _grid(spec, 1001), "rk4")
+    grad = nonstandard_derivative(linearize(spec, list(abar), _grid(spec, 1001), "rk4"))
     expected = (np.exp(-1.0) - 1.0) * (E - 2.0)
     assert np.max(np.abs(grad.entries - expected)) < 1e-4
 
@@ -131,7 +132,7 @@ def test_reformulate_cubic_bias_becomes_linear():
 def test_fd_standard_matches_adjoint_on_affine():
     spec = scalar_affine_system()
     grid = _grid(spec, 1001)
-    grad = standard_derivative(spec, [0.0], grid, "rk4")
+    grad = standard_derivative(linearize(spec, [0.0], grid, "rk4"))
     for h_fd in (1e-3, 1e-4):
         fd = finite_difference_standard(spec, [0.0], 0, h_fd, grid, "rk4")
         assert abs(fd - grad.entries[0]) < max(1e-3, 10.0 * h_fd**2)
@@ -145,7 +146,7 @@ def test_fd_standard_zero_when_decision_free():
 def test_fd_standard_bias_second_entry():
     spec = cubic_bias_system()
     grid = _grid(spec, 1001)
-    grad = standard_derivative(spec, [1.0, 1.0], grid, "rk4")
+    grad = standard_derivative(linearize(spec, [1.0, 1.0], grid, "rk4"))
     fd = finite_difference_standard(spec, [1.0, 1.0], 1, 1e-4, grid, "rk4")
     assert abs(fd - grad.entries[1]) < 1e-3
 
@@ -154,7 +155,7 @@ def test_fd_standard_bias_second_entry():
 def test_fd_nonstandard_error_shrinks_on_bias_system(entry):
     spec = cubic_bias_system(horizon=0.5)
     grid = _grid(spec, 801)
-    grad = nonstandard_derivative(spec, [1.0, 1.0], grid, "rk4")
+    grad = nonstandard_derivative(linearize(spec, [1.0, 1.0], grid, "rk4"))
     errs = []
     for eps in (0.1, 0.05, 0.025):
         fd = finite_difference_nonstandard(spec, [1.0, 1.0], entry, eps, grid, "rk4")
@@ -172,7 +173,7 @@ def test_fd_nonstandard_zero_when_decision_free():
 def test_fd_nonstandard_works_without_relaxability():
     spec = random_nonrelaxable_system(np.random.default_rng(5), 2, 3)
     grid = _grid(spec, 801)
-    grad = nonstandard_derivative(spec, [0.0, 1.0, 0.0], grid, "rk4")
+    grad = nonstandard_derivative(linearize(spec, [0.0, 1.0, 0.0], grid, "rk4"))
     err_big = abs(finite_difference_nonstandard(spec, [0.0, 1.0, 0.0], 1, 0.1, grid, "rk4") - grad.entries[1])
     err_small = abs(finite_difference_nonstandard(spec, [0.0, 1.0, 0.0], 1, 0.0125, grid, "rk4") - grad.entries[1])
     assert err_small <= 0.3 * err_big + 1e-10
@@ -204,8 +205,8 @@ def test_affine_systems_make_both_derivatives_coincide(seed):
     spec = random_affine_system(rng, rng.integers(1, 4), rng.integers(1, 5))
     grid = _grid(spec, 301)
     abar = rng.integers(0, 2, spec.decision_dim).astype(float)
-    g_std = standard_derivative(spec, abar, grid, "rk4")
-    g_ns = nonstandard_derivative(spec, abar, grid, "rk4")
+    g_std = standard_derivative(linearize(spec, abar, grid, "rk4"))
+    g_ns = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
     assert np.max(np.abs(g_std.entries - g_ns.entries)) <= 1e-8
 
 
@@ -221,8 +222,8 @@ def test_reformulation_identities_on_additive_systems(seed):
         j = evaluate_payoff(spec, integrate(spec, a, grid, "rk4"), a)
         j_hat = evaluate_payoff(hat, integrate(hat, a, grid, "rk4"), a)
         assert abs(j - j_hat) <= 1e-6
-        g_hat = standard_derivative(hat, a, grid, "rk4")
-        g_ns = nonstandard_derivative(spec, a, grid, "rk4")
+        g_hat = standard_derivative(linearize(hat, a, grid, "rk4"))
+        g_ns = nonstandard_derivative(linearize(spec, a, grid, "rk4"))
         assert np.max(np.abs(g_hat.entries - g_ns.entries)) <= 1e-6
 
 
@@ -234,7 +235,7 @@ def test_standard_matches_finite_differences_on_random_systems(seed):
     spec = random_poly_system(rng, n, m)
     grid = _grid(spec, 401)
     abar = rng.integers(0, 2, m).astype(float)
-    grad = standard_derivative(spec, abar, grid, "rk4")
+    grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     h_fd = 1e-3
     for i in range(m):
         fd = finite_difference_standard(spec, abar, i, h_fd, grid, "rk4")

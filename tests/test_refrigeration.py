@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ import pytest
 from combidyn import (
     ConstraintError,
     DimensionError,
+    SystemSpec,
+    TargetBandCase,
     TimeGrid,
     TransientConfig,
+    TuRows,
     build_etp_system,
     build_transient_system,
     check_monotone,
@@ -17,12 +21,15 @@ from combidyn import (
     evaluate_payoff,
     finite_difference_standard,
     integrate,
+    linearize,
     nonstandard_derivative,
     penalty,
     quadratic_payoff_model,
     run_receding_horizon,
+    slot_picks,
     solve_adjoint,
     standard_derivative,
+    step_system,
     trapezoid_weights,
     transient_members,
 )
@@ -133,8 +140,8 @@ def test_transient_derivatives_match_costate_integrals():
         lam = solve_adjoint(spec, abar_bits, fwd, "rk4")
         w = trapezoid_weights(grid)
         t = grid.times
-        g_std = standard_derivative(spec, abar_bits, grid, "rk4")
-        g_ns = nonstandard_derivative(spec, abar_bits, grid, "rk4")
+        g_std = standard_derivative(linearize(spec, abar_bits, grid, "rk4"))
+        g_ns = nonstandard_derivative(linearize(spec, abar_bits, grid, "rk4"))
         for i in members:
             lam_i = lam.values[:, i]
             closed_std = -params.b[i] * xi * float(
@@ -212,7 +219,7 @@ def test_case_one_payoff_is_concave_and_submodular_small_fleet():
     model = quadratic_payoff_model(params, SLOT, grid, "rk4")
     assert check_submodular(model.value, 10) is True
     spec = build_etp_system(params, SLOT)
-    grad = standard_derivative(spec, np.zeros(10), grid, "rk4")
+    grad = standard_derivative(linearize(spec, np.zeros(10), grid, "rk4"))
     from combidyn import check_concavity_inequality
 
     report = check_concavity_inequality(
@@ -228,8 +235,8 @@ def test_case_one_derivatives_coincide():
     spec = build_etp_system(params, SLOT)
     grid = TimeGrid(SLOT, 201)
     abar = np.zeros(20)
-    g_std = standard_derivative(spec, abar, grid, "rk4")
-    g_ns = nonstandard_derivative(spec, abar, grid, "rk4")
+    g_std = standard_derivative(linearize(spec, abar, grid, "rk4"))
+    g_ns = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
     assert np.max(np.abs(g_std.entries - g_ns.entries)) <= 1e-8
 
 
@@ -340,19 +347,22 @@ def test_receding_horizon_both_kinds():
     assert all(res.kind in ("standard", "nonstandard") for res in results)
 
 
-def test_both_kinds_compare_applied_payoffs_at_infeasible_base():
-    # The all-ON base point breaks the power cap, so each kind applies its
-    # solver pick rather than the post-processed best of pick and base; "both"
-    # must choose by that applied payoff, not by payoff_post (which here is
-    # the infeasible base's payoff for both kinds).
+def _infeasible_base_scenario():
+    """Transient m = 20, one slot, all rooms at 1.5 C and a band that forces
+    exactly 10 units ON, so the all-zeros base point is infeasible."""
     sc = default_scenario(20, seed=0, transient=True, num_steps=1)
-    sc = dataclasses.replace(sc, params=dataclasses.replace(sc.params, x0=np.full(20, 3.0)))
-    run = dict(
-        linearization=lambda k, prev, m, rng: np.ones(m),
-        solver="l0",
-        grid_points=201,
-        scheme="rk4",
-    )
+    params = dataclasses.replace(sc.params, x0=np.full(20, 1.5))
+    return dataclasses.replace(sc, params=params, case=TargetBandCase([100.0], [100.0]))
+
+
+def test_both_kinds_compare_applied_payoffs_at_infeasible_base():
+    # A band of exactly 10 ON units makes the all-zeros base point infeasible,
+    # so each kind applies its solver pick rather than the post-processed
+    # best of pick and base; "both" must choose by that applied payoff, not
+    # by payoff_post (which here is the infeasible base's payoff for both
+    # kinds, since both picks pay less than the base).
+    sc = _infeasible_base_scenario()
+    run = dict(solver="l0", grid_points=201, scheme="rk4")
     (std,) = run_receding_horizon(sc, kind="standard", **run)
     (ns,) = run_receding_horizon(sc, kind="nonstandard", **run)
     (both,) = run_receding_horizon(sc, kind="both", **run)
@@ -368,3 +378,85 @@ def test_scenario_rejects_duplicate_transient_members():
         dataclasses.replace(sc, transient=TransientConfig(sc.transient.xi, (0, 0)))
     with pytest.raises(DimensionError, match="out of range"):
         dataclasses.replace(sc, transient=TransientConfig(sc.transient.xi, (10,)))
+
+
+def _count_calls(monkeypatch, *functions):
+    """Wrap each function under every name that holds it in the package
+    modules, so calls through any module-level binding are counted."""
+    counts = {fn.__name__: 0 for fn in functions}
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "combidyn"]
+    for fn in functions:
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "transient, kind, integrations",
+    [(False, "standard", 2), (True, "standard", 2), (True, "both", 3)],
+)
+def test_one_forward_pass_and_one_costate_per_slot(monkeypatch, transient, kind, integrations):
+    # Per slot: the base path (shared by every derivative kind), one costate
+    # pass on it, and one integration of each kind's pick inside certify.
+    # The applied decision is never integrated again.
+    sc = default_scenario(20, seed=0, num_steps=2, transient=transient)
+    counts = _count_calls(monkeypatch, integrate, solve_adjoint)
+    results = run_receding_horizon(sc, kind=kind, solver="l0", grid_points=51, scheme="rk4")
+    assert len(results) == 2
+    assert counts == {"integrate": 2 * integrations, "solve_adjoint": 2}
+
+
+@pytest.mark.parametrize("case", ["standard", "both", "oracle", "infeasible_base"])
+def test_end_temperatures_equal_a_fresh_integration(case):
+    if case == "infeasible_base":
+        sc, run = _infeasible_base_scenario(), dict(kind="both", solver="l0")
+    else:
+        sc = default_scenario(10, seed=0, num_steps=2, transient=case == "both")
+        run = {
+            "standard": dict(kind="standard", solver="tu"),
+            "both": dict(kind="both", solver="l0"),
+            "oracle": dict(solver="oracle"),
+        }[case]
+    grid = TimeGrid(sc.step_hours, 51)
+    x = sc.params.x0
+    for res in run_receding_horizon(sc, grid_points=51, scheme="rk4", **run):
+        final = integrate(step_system(sc, x), res.alpha, grid, "rk4").final_state
+        assert np.array_equal(res.temperatures_end, final)
+        x = res.temperatures_end
+
+
+def test_slot_pick_applies_the_base_path_when_the_pick_pays_less():
+    # x' = a1 + a2 from 0 with terminal payoff -(x - 0.9)^2: the linearization
+    # at zero favors both bits, but both ON pays -1.21 against -0.81 at the
+    # feasible base, so the base point and its path's end state are applied.
+    spec = SystemSpec(
+        state_dim=1,
+        decision_dim=2,
+        initial_state=[0.0],
+        horizon=1.0,
+        vector_field=lambda x, a, t: np.zeros_like(x) + np.sum(a, axis=-1, keepdims=True),
+        running_payoff=lambda x, a, t: 0.0,
+        terminal_payoff=lambda x: -((x[..., 0] - 0.9) ** 2),
+        jac_f_x=lambda x, a, t: np.zeros((1, 1)),
+        jac_r_x=lambda x, a, t: np.zeros(1),
+        jac_q_x=lambda x: -2.0 * (x - 0.9),
+        jac_f_alpha=lambda x, a, t: np.ones((1, 2)),
+        jac_r_alpha=lambda x, a, t: np.zeros(2),
+        relaxable=True,
+    )
+    grid = TimeGrid(1.0, 11)
+    con = TuRows(np.ones((1, 2)), [2.0])
+    picks = slot_picks(spec, np.zeros(2), con, None, ("standard", "nonstandard"), "tu", grid, "rk4")
+    for pick in picks.values():
+        assert np.array_equal(pick.cert.alpha_star, np.ones(2))
+        assert np.array_equal(pick.alpha, np.zeros(2))
+        assert pick.payoff == pick.cert.base_payoff
+        assert np.array_equal(pick.end_state, integrate(spec, np.zeros(2), grid, "rk4").final_state)
+        assert np.array_equal(pick.cert.end_state, integrate(spec, np.ones(2), grid, "rk4").final_state)
