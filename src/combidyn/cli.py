@@ -11,8 +11,8 @@ report:
 * check-concavity      exhaustive certificate-validity check (first slot)
 * check-submodular     exhaustive diminishing-returns check (first slot)
 
-Exit codes: 0 ok, 2 parse/configuration error, 3 infeasible, 4 numeric
-failure.  Floats print with 9 significant digits; outputs are byte-identical
+Exit codes: 0 ok, 2 parse/configuration/output error, 3 infeasible, 4
+numeric failure.  Floats print with 9 significant digits; outputs are byte-identical
 under a fixed seed and configuration.
 """
 
@@ -55,15 +55,6 @@ def _bits(alpha) -> str:
     return "".join(str(int(v)) for v in alpha)
 
 
-def _emit(config: argparse.Namespace, lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _horizon(config: argparse.Namespace, scenario: Scenario):
     return run_receding_horizon(
         scenario,
@@ -102,7 +93,7 @@ def _cmd_optimize(config: argparse.Namespace, scenario: Scenario):
                 f"power={_fnum(res.power_kw)} kW  payoff={_fnum(res.payoff)}  "
                 f"rho_post={_fnum(res.rho_post)}{'  (base optimal)' if res.optimal else ''}"
             )
-    _emit(config, lines)
+    return lines
 
 
 def _cmd_certify(config: argparse.Namespace, scenario: Scenario):
@@ -133,7 +124,7 @@ def _cmd_certify(config: argparse.Namespace, scenario: Scenario):
                     f"step {res.step:3d}  rho_post={_fnum(res.rho_post)}  "
                     f"payoff gain={_fnum(res.payoff - res.base_payoff)}"
                 )
-    _emit(config, lines)
+    return lines
 
 
 def _cmd_oracle(config: argparse.Namespace, scenario: Scenario):
@@ -161,7 +152,7 @@ def _cmd_oracle(config: argparse.Namespace, scenario: Scenario):
                 f"rho_post={_fnum(res.rho_post)}"
             )
         lines.append(f"worst ratio {_fnum(min(ratios))}, mean {_fnum(float(np.mean(ratios)))}")
-    _emit(config, lines)
+    return lines
 
 
 def _first_slot(config: argparse.Namespace, scenario: Scenario):
@@ -207,7 +198,7 @@ def _cmd_sweep(config: argparse.Namespace, scenario: Scenario):
             f"payoff gain over all-off: min {_fnum(min(gains))}, "
             f"mean {_fnum(float(np.mean(gains)))}, max {_fnum(max(gains))}",
         ]
-    _emit(config, lines)
+    return lines
 
 
 def _cmd_compare(config: argparse.Namespace, scenario: Scenario):
@@ -233,7 +224,7 @@ def _cmd_compare(config: argparse.Namespace, scenario: Scenario):
             f"mean payoff, nonstandard: {_fnum(avg_ns)}",
             f"max gradient difference:  {_fnum(max_gdiff)}",
         ]
-    _emit(config, lines)
+    return lines
 
 
 def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
@@ -247,7 +238,7 @@ def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
         f"concavity inequality ({grad.kind} derivative, {report.checked} points): {verdict}",
         f"worst violator {_bits(report.worst_alpha)} with gap {_fnum(report.worst_violation)}",
     ]
-    _emit(config, lines)
+    return lines
 
 
 def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
@@ -261,14 +252,22 @@ def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
         f"monotonicity: {'pass' if mono.holds else 'FAIL'} "
         f"(worst drop {_fnum(mono.worst_gap)} at {_bits(mono.witness)})",
     ]
-    _emit(config, lines)
+    return lines
+
+
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 _DISPATCH = {
@@ -297,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--solver", default="tu", choices=("l0", "tu", "oracle"))
         p.add_argument("--grid", type=int, default=201, help="time points per slot")
         p.add_argument("--scheme", default="euler", choices=("euler", "rk4"))
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=nonnegative_int, default=0)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--format", default="csv", choices=("csv", "report"))
         p.add_argument("--samples", type=positive_int, default=100, help="sample count for sweeps")
@@ -307,12 +306,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     config = _build_parser().parse_args(argv)
     try:
-        _DISPATCH[config.command](config, parse_scenario(config.scenario))
+        lines = _DISPATCH[config.command](config, parse_scenario(config.scenario))
     except CombidynError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, _CONFIG_ERRORS):
             return 2
         return 3 if isinstance(exc, InfeasibleError) else 4
+    text = "\n".join(lines) + "\n"
+    if not config.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write the output file: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

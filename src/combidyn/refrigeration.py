@@ -256,6 +256,8 @@ class TuCase:
         z = np.asarray(self.z_bar, dtype=float).reshape(-1)
         if Q.ndim != 2 or Q.shape[0] != r.size:
             raise DimensionError("rows and rhs shapes do not match")
+        if Q.shape[0] == 0:
+            raise ConstraintError("operation rows need at least the per-step budget row")
         for name, arr in (("rows", Q), ("rhs", r), ("z_bar", z)):
             object.__setattr__(self, name, integer_array(arr, name))
 

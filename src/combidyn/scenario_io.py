@@ -26,6 +26,7 @@ Top-level layout::
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -77,9 +78,12 @@ class _Node:
         if not isinstance(self.node, yaml.ScalarNode):
             raise self.fail("expected a number")
         try:
-            return float(self.node.value)
+            value = float(self.node.value)
         except ValueError:
             raise self.fail(f"expected a number, got {self.node.value!r}") from None
+        if not math.isfinite(value):
+            raise self.fail(f"expected a finite number, got {self.node.value!r}")
+        return value
 
     def scalar_int(self) -> int:
         v = self.scalar_float()

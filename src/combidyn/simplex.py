@@ -1,12 +1,21 @@
-"""Dense bounded-variable primal simplex with Bland's rule.
+"""Dense bounded-variable dual simplex started at the box optimum.
 
-Solves  max c^T x  subject to  rows @ x <= rhs,  0 <= x <= 1,  by stacking
-slack variables and running a two-phase simplex.  Bland's smallest-index
-rule is used for both the entering and the leaving choice, which rules out
-cycling.  Everything is dense and the basis system is re-solved from scratch
-each iteration: the feasible regions here are small and exactness matters
-more than speed, in particular so that totally unimodular rows yield exactly
-integral vertices.
+Solves  max c^T x  subject to  rows @ x <= rhs,  0 <= x <= 1,  with one slack
+per row.  The start is the optimum of the box alone: x_j = 1 exactly when
+c_j > 0, with every slack basic.  Its reduced costs are the objective itself,
+so the start is dual feasible for any right-hand side, and no phase 1 or
+artificial column is needed, not even for rows with a negative right-hand
+side.  If the start satisfies the rows, it is optimal after zero pivots.
+
+Each iteration the smallest-index basic variable outside its bounds leaves,
+and the smallest-index column of minimal ratio among those that keep the
+reduced costs dual feasible enters.  This dual form of Bland's rule rules out
+cycling; when no column is eligible, no point of the box satisfies the rows.
+See Koberstein, *The dual simplex method, techniques for a fast and stable
+implementation*, PhD thesis, Paderborn (2005).  Everything is dense and the
+basic values are re-solved from the basis each iteration: the programs here
+are small and exactness matters more than speed, in particular so that
+totally unimodular rows yield exactly integral vertices.
 """
 
 from __future__ import annotations
@@ -17,10 +26,6 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleError, NumericError
 
-_AT_LOWER = 0
-_AT_UPPER = 1
-
-_REDUCED_COST_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _FEAS_TOL = 1e-7
 _MAX_ITER = 20000
@@ -49,106 +54,6 @@ class LpProblem:
         object.__setattr__(self, "rhs", b)
 
 
-class _Tableau:
-    """Simplex state over the full variable list (structurals, slacks,
-    artificials).  Basic values are recomputed from the basis each iteration
-    rather than updated incrementally."""
-
-    def __init__(self, A, b, lo, hi, basis, status):
-        self.A = A
-        self.b = b
-        self.lo = lo
-        self.hi = hi
-        self.basis = basis        # one variable index per row
-        self.status = status      # nonbasic bound flags, indexed by variable
-
-    def nonbasic_values(self):
-        x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
-        x[~np.isfinite(x)] = 0.0  # unbounded-above variables sit at their lower bound
-        return x
-
-    def point(self):
-        x = self.nonbasic_values()
-        mask = np.ones(self.A.shape[1], dtype=bool)
-        mask[self.basis] = False
-        B = self.A[:, self.basis]
-        rest = self.A[:, mask] @ x[mask]
-        x[self.basis] = np.linalg.solve(B, self.b - rest)
-        return x
-
-    def optimize(self, c, movable):
-        """Run primal iterations until no eligible entering variable exists.
-
-        ``movable`` masks variables allowed to enter the basis (used to keep
-        phase-1 artificials out of phase 2).
-        """
-        n = self.A.shape[1]
-        for _ in range(_MAX_ITER):
-            x = self.point()
-            B = self.A[:, self.basis]
-            y = np.linalg.solve(B.T, c[self.basis])
-            reduced = c - y @ self.A
-
-            entering = -1
-            direction = 0.0
-            basic_mask = np.zeros(n, dtype=bool)
-            basic_mask[self.basis] = True
-            for j in range(n):
-                if basic_mask[j] or not movable[j]:
-                    continue
-                if self.status[j] == _AT_LOWER and reduced[j] > _REDUCED_COST_TOL:
-                    entering, direction = j, 1.0
-                    break
-                if self.status[j] == _AT_UPPER and reduced[j] < -_REDUCED_COST_TOL:
-                    entering, direction = j, -1.0
-                    break
-            if entering < 0:
-                return x
-
-            w = np.linalg.solve(B, self.A[:, entering])
-            span = self.hi[entering] - self.lo[entering]
-            t_best = span if np.isfinite(span) else np.inf
-            leave_row = -1
-            hit_upper = False
-            for i in range(len(self.basis)):
-                delta = direction * w[i]
-                bi = self.basis[i]
-                if delta > _PIVOT_TOL:
-                    t_i = (x[bi] - self.lo[bi]) / delta
-                    goes_up = False
-                elif delta < -_PIVOT_TOL:
-                    if not np.isfinite(self.hi[bi]):
-                        continue
-                    t_i = (self.hi[bi] - x[bi]) / (-delta)
-                    goes_up = True
-                else:
-                    continue
-                t_i = max(t_i, 0.0)
-                # Bland tie-break: keep the smallest basic variable index.
-                if t_i < t_best - _PIVOT_TOL or (
-                    t_i < t_best + _PIVOT_TOL
-                    and (leave_row < 0 or bi < self.basis[leave_row])
-                ):
-                    t_best = min(t_best, t_i)
-                    leave_row = i
-                    hit_upper = goes_up
-
-            if not np.isfinite(t_best):
-                raise NumericError("unbounded simplex direction on a boxed problem")
-
-            if leave_row < 0:
-                # Entering variable runs to its opposite bound; basis unchanged.
-                self.status[entering] = (
-                    _AT_UPPER if self.status[entering] == _AT_LOWER else _AT_LOWER
-                )
-                continue
-
-            leaving = self.basis[leave_row]
-            self.basis[leave_row] = entering
-            self.status[leaving] = _AT_UPPER if hit_upper else _AT_LOWER
-        raise NumericError("simplex iteration guard exceeded")
-
-
 def solve_boxed_lp(problem: LpProblem):
     """Solve the boxed LP; returns (x, value).
 
@@ -158,51 +63,48 @@ def solve_boxed_lp(problem: LpProblem):
     c0 = problem.objective
     rows = problem.rows
     rhs = problem.rhs
-    m = c0.size
-    l = rows.shape[0]
+    l, m = rows.shape
 
-    if l == 0:
-        x = (c0 > 0.0).astype(float)
-        return x, float(c0 @ x)
+    eye = np.eye(l)
+    A = np.hstack([rows, eye])
+    c = np.concatenate([c0, np.zeros(l)])
+    hi = np.concatenate([np.ones(m), np.full(l, np.inf)])
+    at_upper = np.concatenate([c0 > 0.0, np.zeros(l, dtype=bool)])
+    basis = np.arange(m, m + l)  # one variable index per row
 
-    neg = rhs < -_PIVOT_TOL
-    n_art = int(np.count_nonzero(neg))
-    n = m + l + n_art
+    for _ in range(_MAX_ITER):
+        x = at_upper.astype(float)  # nonbasic values; every lower bound is 0
+        x[basis] = 0.0
+        B = A[:, basis]
+        x[basis] = np.linalg.solve(B, rhs - A @ x)
 
-    A = np.zeros((l, n))
-    A[:, :m] = rows
-    A[:, m : m + l] = np.eye(l)
-    lo = np.zeros(n)
-    hi = np.concatenate([np.ones(m), np.full(l + n_art, np.inf)])
+        below = x[basis] < -_FEAS_TOL
+        above = x[basis] > hi[basis] + _FEAS_TOL
+        out = np.flatnonzero(below | above)
+        if out.size == 0:
+            break
+        r = out[np.argmin(basis[out])]
 
-    basis = list(range(m, m + l))
-    status = np.full(n, _AT_LOWER, dtype=int)
-
-    art = []
-    col = m + l
-    for i in np.flatnonzero(neg):
-        A[i, col] = -1.0
-        basis[i] = col
-        art.append(col)
-        col += 1
-
-    tab = _Tableau(A, rhs.copy(), lo, hi, basis, status)
-
-    if n_art:
-        c1 = np.zeros(n)
-        c1[art] = -1.0
-        movable = np.ones(n, dtype=bool)
-        x = tab.optimize(c1, movable)
-        if float(np.sum(x[art])) > _FEAS_TOL * (1.0 + float(np.abs(rhs).max())):
+        # Duals and row r of B^-1 A from one solve with B^T.
+        y, rho = np.linalg.solve(B.T, np.column_stack([c[basis], eye[r]])).T
+        reduced = c - y @ A
+        alpha = rho @ A
+        # The leaving value must rise when below its bound and fall when
+        # above; a column at its lower bound can only rise, at its upper
+        # bound only fall.
+        step = alpha if below[r] else -alpha
+        eligible = np.where(at_upper, step > _PIVOT_TOL, step < -_PIVOT_TOL)
+        eligible[basis] = False
+        if not eligible.any():
             raise InfeasibleError("no point satisfies the rows inside the unit box")
-        # Pin the artificials at zero; degenerate basic ones may remain.
-        tab.hi[art] = 0.0
+        ratio = np.full(m + l, np.inf)
+        ratio[eligible] = np.abs(reduced[eligible]) / np.abs(alpha[eligible])
+        entering = int(np.argmin(ratio))  # the first index of minimal ratio
 
-    c = np.zeros(n)
-    c[:m] = c0
-    movable = np.ones(n, dtype=bool)
-    movable[m + l :] = False
-    x = tab.optimize(c, movable)
+        at_upper[basis[r]] = above[r]
+        basis[r] = entering
+    else:
+        raise NumericError("simplex iteration guard exceeded")
 
     sol = np.clip(x[:m], 0.0, 1.0)
     slack_violation = rows @ sol - rhs

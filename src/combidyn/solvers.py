@@ -147,17 +147,9 @@ ConstraintSet = Union[L0Band, TuRows, Knapsack, ExplicitSet]
 
 
 def is_feasible(constraints: ConstraintSet, alpha) -> bool:
-    a = np.asarray(alpha, dtype=float).reshape(-1)
-    if isinstance(constraints, L0Band):
-        s = int(a.sum())
-        return constraints.k_min <= s <= constraints.k_max
-    if isinstance(constraints, TuRows):
-        return bool(np.all(constraints.rows @ a <= constraints.rhs + 1e-9))
-    if isinstance(constraints, Knapsack):
-        return float(constraints.weights @ a) <= constraints.capacity + 1e-9
-    if isinstance(constraints, ExplicitSet):
-        return a.astype(np.uint8).tobytes() in constraints._key_set()
-    raise ConstraintError(f"unknown constraint set {type(constraints).__name__}")
+    """Whether the binary vector ``alpha`` satisfies the constraints."""
+    a = np.asarray(alpha, dtype=float).reshape(1, -1)
+    return bool(feasible_mask(constraints, a)[0])
 
 
 def feasible_mask(constraints: ConstraintSet, A: np.ndarray) -> np.ndarray:

@@ -155,6 +155,22 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_infeasible_rows_found_by_the_lp_exit_code(tmp_path, capsys):
+    # A negative budget passes step_constraints; only the LP finds that no
+    # point of the box satisfies the budget row.
+    import dataclasses
+
+    sc = default_scenario(10, seed=2, num_steps=2, case="tu")
+    negative = dataclasses.replace(
+        sc, case=dataclasses.replace(sc.case, z_bar=np.full(2, -1.0))
+    )
+    path = tmp_path / "negative_budget.yaml"
+    write_scenario(negative, str(path))
+    assert _run(["optimize", "--scenario", str(path), "--grid", "51", "--solver", "tu"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "error: InfeasibleError" in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # An asserted-TU row matrix that is not actually TU surfaces as a
@@ -279,3 +295,16 @@ def test_transient_concavity_report_matches_per_row_loop(tmp_path, capsys):
         f"concavity inequality (standard derivative, 1024 points): {'pass' if holds else 'FAIL'}",
         f"worst violator {bits} with gap {format(worst, '.9g')}",
     ]
+
+
+def test_negative_seed_exit_code(small_scenario, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _run(["sweep-linearization", "--scenario", small_scenario, "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "error: argument --seed" in capsys.readouterr().err
+
+
+def test_output_in_missing_directory_exit_code(small_scenario, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "run.csv")
+    assert _run(["optimize", "--scenario", small_scenario, "--grid", "51", "--out", out]) == 2
+    assert "error: cannot write the output file" in capsys.readouterr().err

@@ -293,6 +293,24 @@ def test_receding_horizon_tu_rows_satisfied():
         assert np.all(sc.case.rows @ res.alpha <= rhs + 1e-9)
 
 
+def test_binding_lower_count_tu_and_l0_agree():
+    # A 60-120 kW band at 10 kW per unit asks for 6 to 12 units ON: the TU
+    # route's lower-count row has a negative right-hand side.  In the first
+    # slot ten units share one gradient entry; the LP's vertex must take the
+    # lowest of them, as the stable sort of solve_l0 does.
+    sc = default_scenario(20, seed=3, num_steps=6)
+    sc = dataclasses.replace(
+        sc,
+        params=dataclasses.replace(sc.params, x0=np.full(20, 0.5)),
+        case=TargetBandCase(np.full(6, 60.0), np.full(6, 120.0)),
+    )
+    tu, l0 = (run_receding_horizon(sc, solver=solver) for solver in ("tu", "l0"))
+    assert [int(res.alpha.sum()) for res in tu] == [6, 12, 6, 12, 8, 12]
+    for a, b in zip(tu, l0):
+        assert np.array_equal(a.alpha, b.alpha)
+        assert a.payoff == b.payoff
+
+
 def test_receding_horizon_oracle_ratio_bounds():
     sc = default_scenario(10, seed=2, num_steps=3)
     results = run_receding_horizon(sc, grid_points=101, scheme="rk4", with_oracle=True)

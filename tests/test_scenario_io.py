@@ -83,6 +83,48 @@ def test_type_mismatch_reported_with_line(tmp_path):
     assert err.value.line == MINIMAL.splitlines().index("  num_steps: 1") + 1
 
 
+@pytest.mark.parametrize(
+    "line, value, field",
+    [
+        ("  b: 26.0", "nan", "scenario.fleet.b"),
+        ("  delta: 1.0", "nan", "scenario.fleet.delta"),
+        ("  theta_hi: 4.0", "inf", "scenario.fleet.theta_hi"),
+        ("  y_hi: 10.0", "nan", "scenario.case.y_hi"),
+        ("  y_hi: 10.0", "inf", "scenario.case.y_hi"),
+        ("  m: 1", "1e400", "scenario.fleet.m"),
+        ("  num_steps: 1", "1e400", "scenario.schedule.num_steps"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, line, value, field):
+    from combidyn.cli import main
+
+    bad = MINIMAL.replace(line + "\n", line.split(":")[0] + f": {value}\n")
+    path = _write(tmp_path, bad)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(path)
+    assert err.value.field_path == field
+    assert err.value.line == MINIMAL.splitlines().index(line) + 1
+    assert "finite" in str(err.value)
+    assert main(["optimize", "--scenario", path]) == 2
+    assert f"error: ScenarioError: {field}" in capsys.readouterr().err
+
+
+def test_tu_case_without_rows_rejected(tmp_path, capsys):
+    from combidyn import ConstraintError, TuCase
+    from combidyn.cli import main
+
+    with pytest.raises(ConstraintError):
+        TuCase(np.zeros((0, 3)), np.zeros(0), np.ones(1))
+    text = MINIMAL.split("case:")[0] + (
+        "case:\n  kind: tu\n  Q: {rows: 0, cols: 1, data: []}\n  r: []\n  z_bar: 1\n"
+    )
+    path = _write(tmp_path, text)
+    with pytest.raises(ConstraintError):
+        parse_scenario(path)
+    assert main(["optimize", "--scenario", path]) == 2
+    assert "error: ConstraintError" in capsys.readouterr().err
+
+
 def test_matrix_dimension_mismatch(tmp_path):
     bad = MINIMAL.replace("{rows: 1, cols: 1, data: [0.6]}", "{rows: 1, cols: 1, data: [0.6, 0.7]}")
     with pytest.raises(ScenarioError) as err:
