@@ -627,7 +627,8 @@ def run_receding_horizon(
     ``solver="oracle"`` applies the exact per-slot optimum instead.
     ``with_oracle=True`` additionally reports the exact optimum and the
     achieved optimality ratio along the applied path.  A diverging
-    integration or costate raises with the step in its message.
+    integration or costate and an infeasible slot raise with the step in
+    their message.
     """
     m = scenario.params.m
     grid = TimeGrid(scenario.step_hours, grid_points)
@@ -667,6 +668,10 @@ def run_receding_horizon(
                 oracle_payoff, oracle_ratio = applied_payoff, 1.0
         except IntegrationDivergedError as exc:  # the costate's error included
             raise type(exc)(exc.knot_index, f"{exc} (step {k})") from None
+        except InfeasibleError as exc:  # the LP's and the oracle's
+            if exc.step is not None:
+                raise
+            raise InfeasibleError(str(exc), step=k) from None
 
         x = end
         results.append(

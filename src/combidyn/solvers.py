@@ -14,10 +14,15 @@ Constraint kinds:
                   relaxation (the optimal vertex is integral)
 * knapsack      : nonnegative weights, one capacity, 0.5-approximate greedy
 * explicit      : a literal list of admissible vectors
+
+The exhaustive oracle (:func:`solve_bruteforce`) and the checks in ``certify``
+share one enumerator, :func:`binary_chunks`: lexicographic blocks of 2^16 rows
+over one cached suffix table, masked by integer rows before they are built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -35,7 +40,7 @@ from .simplex import LpProblem, solve_boxed_lp
 
 _TU_CHECK_LIMIT = 8          # exhaustive determinant check up to this size
 _BRUTE_FORCE_LIMIT = 24
-_ENUM_CHUNK = 1 << 16
+_SUFFIX_BITS = 16            # enumeration blocks hold 2^16 rows
 
 
 def is_totally_unimodular(Q, max_minors: int = 200000) -> bool:
@@ -253,12 +258,60 @@ def binary_rows(start: int, stop: int, m: int) -> np.ndarray:
     return ((codes >> shifts) & 1).astype(float)
 
 
-def binary_chunks(m: int):
-    """Yield all 2^m binary vectors as row chunks in lexicographic order, at
-    most 2^16 rows per chunk so the full table is never built."""
-    total = 1 << m
-    for start in range(0, total, _ENUM_CHUNK):
-        yield binary_rows(start, min(start + _ENUM_CHUNK, total), m)
+def _integer_rows(constraints: Optional[ConstraintSet], m: int):
+    """``(rows, rhs)`` when feasibility is ``rows @ alpha <= rhs`` with integer
+    rows and right-hand side, else None.  A count band is the rows [1; -1]."""
+    if isinstance(constraints, TuRows):
+        return constraints.rows, constraints.rhs
+    if isinstance(constraints, L0Band):
+        rows = np.vstack([np.ones(m), -np.ones(m)])
+        return rows, np.array([constraints.k_max, -constraints.k_min], dtype=float)
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def _suffix_table(m: int) -> np.ndarray:
+    """The suffix table, cached read-only: block 0 of the m-wide enumeration,
+    the codes 0 .. 2^16 - 1 (all codes when m <= 16).  Its columns ahead of
+    the low 16 are zero; every block is its rows with the block's prefix
+    written there."""
+    table = binary_rows(0, 1 << min(m, _SUFFIX_BITS), m)
+    table.flags.writeable = False
+    return table
+
+
+def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
+    """Yield the feasible binary m-vectors as row blocks in lexicographic order.
+
+    Block p holds the feasible codes among p * 2^16 .. (p + 1) * 2^16 - 1
+    (all 2^m codes form block 0 when m <= 16): the p-th prefix of the
+    leading m - 16 entries in front of rows of the cached suffix table.
+    Integer-row constraints (``TuRows``, and ``L0Band`` as the rows [1; -1])
+    mask a block before building it: the suffix table's row sums, computed
+    once per call, are compared with ``rhs`` minus the prefix's row sums.
+    Both sides are exact integers (binary decisions, integer rows), so the
+    mask equals :func:`feasible_mask` on the full block.  ``Knapsack`` and
+    ``ExplicitSet`` apply :func:`feasible_mask` to each built block.  Blocks
+    with no feasible row are skipped; the full table is never built.
+    """
+    high = max(m - _SUFFIX_BITS, 0)
+    table = _suffix_table(m)
+    integer = _integer_rows(constraints, m)
+    if integer is not None:
+        rows, rhs = integer
+        suffix_sums = rows @ table.T  # (l, 2^16) exact integers: the prefix columns are zero
+    for prefix in binary_rows(0, 1 << high, high):
+        if integer is None:
+            block = table.copy()
+        else:
+            slack = rhs - rows[:, :high] @ prefix
+            keep = np.all(suffix_sums <= slack[:, None], axis=0)
+            block = table.take(np.flatnonzero(keep), axis=0)
+        block[:, :high] = prefix
+        if integer is None and constraints is not None:
+            block = block[feasible_mask(constraints, block)]
+        if block.shape[0]:
+            yield block
 
 
 def solve_bruteforce(
@@ -269,9 +322,11 @@ def solve_bruteforce(
     """Exact maximizer by exhaustive enumeration; the oracle everything else
     is tested against.
 
-    Enumerates in lexicographic order so ties resolve toward the
-    lexicographically smallest vector; ``objective`` maps each (N, m) chunk
-    of feasible binary rows to N values.  Returns (alpha, value); raises
+    ``objective`` maps each (N, m) block of feasible binary rows from
+    :func:`binary_chunks` to N values.  Blocks come in lexicographic order
+    and the first maximizer within a block is kept, replaced only by a
+    strictly larger value from a later block, so ties resolve toward the
+    lexicographically smallest vector.  Returns (alpha, value); raises
     InfeasibleError when nothing is feasible and EnumerationRefusedError
     above m = 24.
     """
@@ -279,13 +334,9 @@ def solve_bruteforce(
         raise EnumerationRefusedError(f"refusing exhaustive search for m = {m} > {_BRUTE_FORCE_LIMIT}")
     best_val = -np.inf
     best_alpha = None
-    for A in binary_chunks(m):
-        feas = A if constraints is None else A[feasible_mask(constraints, A)]
-        if not feas.shape[0]:
-            continue
+    for feas in binary_chunks(m, constraints):
         vals = np.asarray(objective(feas), dtype=float)
         k = int(np.argmax(vals))
-        # argmax returns the first maximizer, preserving lexicographic order
         if vals[k] > best_val:
             best_val = float(vals[k])
             best_alpha = feas[k].copy()

@@ -171,6 +171,24 @@ def test_infeasible_rows_found_by_the_lp_exit_code(tmp_path, capsys):
     assert out == "" and "error: InfeasibleError" in err
 
 
+def test_infeasible_rows_found_by_the_lp_name_the_step(tmp_path, capsys):
+    # A negative budget in the named slot: the LP (or the oracle) finds it
+    # infeasible, and the error names the slot as step_constraints does.
+    import dataclasses
+
+    sc = default_scenario(10, seed=2, num_steps=2, case="tu")
+    for z_bar, step in (([-1.0, -1.0], 1), ([3.0, -1.0], 2)):
+        negative = dataclasses.replace(sc, case=dataclasses.replace(sc.case, z_bar=np.array(z_bar)))
+        path = tmp_path / f"negative_budget_{step}.yaml"
+        write_scenario(negative, str(path))
+        for solver in ("tu", "oracle"):
+            argv = ["optimize", "--scenario", str(path), "--grid", "51", "--solver", solver]
+            assert _run(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: InfeasibleError: ")
+            assert err.rstrip().endswith(f"(step {step})")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # An asserted-TU row matrix that is not actually TU surfaces as a

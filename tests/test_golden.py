@@ -1,7 +1,8 @@
 """Byte-for-byte CLI regression against recorded outputs.
 
 Each file under ``tests/golden/`` is the recorded stdout of one command on a
-shipped scenario.  Changes that promise identical numbers keep these bytes
+shipped scenario.  The two m = 20 oracle and concavity runs enumerate 2^20
+rows in sixteen blocks, so they cover the enumerator's block boundaries.  Changes that promise identical numbers keep these bytes
 and the exit code; a change that moves numbers on purpose re-records the
 affected files and says so in CHANGES.md.
 """
@@ -30,10 +31,12 @@ RUNS = {
         "certify", "case2_tu_m20", *RK4, "--derivative", "nonstandard"
     ],
     "oracle_case1_m10": ["oracle", "case1_m10"],
+    "oracle_rk4_case2_tu_m20": ["oracle", "case2_tu_m20", *RK4],
     "optimize_oracle_case1_m10": ["optimize", "case1_m10", "--solver", "oracle"],
     "sweep_case1_m10": ["sweep-linearization", "case1_m10", *SAMPLES],
     "compare_transient_m20": ["compare-derivatives", "transient_m20", *SAMPLES],
     "check_concavity_case1_m10": ["check-concavity", "case1_m10", *RK4],
+    "check_concavity_rk4_case1_m20": ["check-concavity", "case1_m20", *RK4],
     "check_submodular_case1_m10": ["check-submodular", "case1_m10", *RK4],
 }
 

@@ -125,6 +125,31 @@ def test_tu_case_without_rows_rejected(tmp_path, capsys):
     assert "error: ConstraintError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        ("{rows: 0, cols: 1, data: []}\n  r: []",
+         "operation rows need at least the per-step budget row"),
+        ("{rows: 1, cols: 1, data: [0.5]}\n  r: [1]", "rows must be integer"),
+    ],
+    ids=["no_rows", "fractional_row"],
+)
+def test_case_invariants_name_the_case_and_line(tmp_path, capsys, q, message):
+    # TuCase's own invariants keep their type and exit code and gain the
+    # field path and the line of the case mapping (line 16: ``kind: tu``).
+    from combidyn import ConstraintError
+    from combidyn.cli import main
+
+    text = MINIMAL.split("case:")[0] + f"case:\n  kind: tu\n  Q: {q}\n  z_bar: 1\n"
+    path = _write(tmp_path, text)
+    where = f"scenario.case (line 16): {message}"
+    with pytest.raises(ConstraintError) as err:
+        parse_scenario(path)
+    assert str(err.value) == where
+    assert main(["optimize", "--scenario", path]) == 2
+    assert capsys.readouterr().err == f"error: ConstraintError: {where}\n"
+
+
 def test_matrix_dimension_mismatch(tmp_path):
     bad = MINIMAL.replace("{rows: 1, cols: 1, data: [0.6]}", "{rows: 1, cols: 1, data: [0.6, 0.7]}")
     with pytest.raises(ScenarioError) as err:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from combidyn import (
     solve_l0,
     solve_tu,
 )
+from combidyn.solvers import binary_chunks, binary_rows, feasible_mask
 
 
 def _grad(entries):
@@ -244,6 +247,83 @@ def test_bruteforce_guard():
 def test_bruteforce_infeasible():
     with pytest.raises(InfeasibleError):
         solve_bruteforce(lambda a: np.zeros(len(a)), TuRows([[1.0, 1.0]], [-1.0]), 2)
+
+
+def _enumerator_constraints(kind, m):
+    """One constraint set of each kind for width m.  The TU rows are intervals
+    and negated intervals (totally unimodular): an ON cap, a binding lower
+    count, a cap on the first half, a negative right-hand side demanding an
+    ON unit in the second half, and at most one of the first two entries,
+    which empties the blocks whose prefix has both ON (4 of 16 at m = 20)."""
+    if kind == "none":
+        return None
+    if kind == "l0":
+        return L0Band(m // 4, (m + 1) // 2)
+    if kind == "tu":
+        first, second, pair = np.zeros(m), np.zeros(m), np.zeros(m)
+        first[: m // 2] = 1.0
+        second[m // 2 :] = 1.0
+        pair[:2] = 1.0
+        rows = np.vstack([np.ones(m), -np.ones(m), first, -second, pair])
+        return TuRows(rows, [(m + 1) // 2, -(m // 3), 1 + m // 4, -1, 1])
+    if kind == "knapsack":
+        return Knapsack(1.0 + np.arange(m) % 4, 1.5 * m)
+    rng = np.random.default_rng(m)
+    return ExplicitSet(tuple(rng.integers(0, 2, size=m) for _ in range(6)) + ((1.0,) * m,))
+
+
+@pytest.mark.parametrize("kind", ["none", "l0", "tu", "knapsack", "explicit"])
+@pytest.mark.parametrize("m", [1, 5, 16, 17, 20])
+def test_enumerator_blocks_are_the_masked_table(m, kind):
+    # Block by block against the masked table, read 2^16 codes at a time
+    # so that m = 20 never holds the full table: the concatenation is
+    # byte-equal to binary_rows(0, 2**m, m)[feasible_mask(con, ...)] and the
+    # block boundaries are the 2^16-code boundaries.
+    con = _enumerator_constraints(kind, m)
+    total = 1 << m
+    starts = range(0, total, 1 << 16)
+    table = (binary_rows(start, min(start + (1 << 16), total), m) for start in starts)
+    expected = (A if con is None else A[feasible_mask(con, A)] for A in table)
+    pairs = itertools.zip_longest((A for A in expected if A.shape[0]), binary_chunks(m, con))
+    count = 0
+    for want, got in pairs:
+        assert want is not None and got is not None
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        count += got.shape[0]
+    assert count > 0
+
+
+def test_bruteforce_tie_across_blocks_prefers_the_smaller_row():
+    # m = 17: (0, ..., 0, 1) is code 1 in block 0 and (1, 0, ..., 0) is code
+    # 2^16 in block 1; both are the maximum.  A later block replaces the
+    # best only with a strictly larger value.
+    m = 17
+
+    def objective(a):
+        return a[..., 0] + a[..., -1] - 2.0 * a[..., 0] * a[..., -1] - a[..., 1:-1].sum(axis=-1)
+
+    low, high = np.eye(m)[-1], np.eye(m)[0]
+    assert objective(low) == objective(high) == 1.0
+    for con in (None, L0Band(1, 1), TuRows(np.ones((1, m)), [1.0])):
+        best, val = solve_bruteforce(objective, con, m)
+        assert np.array_equal(best, low) and val == 1.0
+        # Raising the later block's maximizer moves the pick there.
+        lifted, _ = solve_bruteforce(lambda a: objective(a) + 1e-9 * a[..., 0], con, m)
+        assert np.array_equal(lifted, high)
+
+
+@pytest.mark.parametrize("m", [17, 20])
+def test_bruteforce_infeasible_over_every_block(m):
+    never = np.zeros(m)
+    for con in (
+        TuRows(np.vstack([np.ones(m), -np.ones(m)]), [m // 2, -(m // 2) - 1]),
+        TuRows(np.ones((1, m)), [-1.0]),
+        L0Band(m + 1, m + 1),
+    ):
+        assert next(binary_chunks(m, con), None) is None
+        with pytest.raises(InfeasibleError):
+            solve_bruteforce(lambda a: a @ never, con, m)
 
 
 # ---------------------------------------------------------------------------
