@@ -18,6 +18,7 @@ from combidyn import (
     check_concavity_inequality,
     check_monotone,
     check_submodular,
+    integrate,
     linearize,
     matvec,
     payoff_function,
@@ -69,7 +70,7 @@ print(f"  holds over all {report.checked} binary points: {report.holds}"
 print()
 print("=== one-shot count-band solver (at most 3 on) ===")
 pick = solve_l0(grad, 0, 3)
-cert = certify(spec, abar, grad, pick, grid, "rk4")
+cert = certify(spec, abar, grad, pick, integrate(spec, pick, grid, "rk4"))
 opt_a, opt_v = solve_bruteforce(payoff, L0Band(0, 3), m)
 print(f"  pick {pick.astype(int)}  rho_post = {cert.rho_post:.3f}")
 print(f"  guarantee: payoff gain >= {cert.rho_post:.3f} x best gain")
@@ -83,7 +84,7 @@ rows[0, :4] = 1.0   # first four units share a feeder: at most 2
 rows[1, 4:] = 1.0   # remaining units: at most 3
 rhs = np.array([2.0, 3.0])
 pick_tu = solve_tu(grad, rows, rhs)
-cert_tu = certify(spec, abar, grad, pick_tu, grid, "rk4")
+cert_tu = certify(spec, abar, grad, pick_tu, integrate(spec, pick_tu, grid, "rk4"))
 opt_tu, opt_tu_v = solve_bruteforce(payoff, TuRows(rows, rhs), m)
 print(f"  pick {pick_tu.astype(int)}  rho_post = {cert_tu.rho_post:.3f}")
 print(f"  achieved {cert_tu.payoff_post - cert_tu.base_payoff:.5f}"

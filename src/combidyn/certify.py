@@ -14,6 +14,10 @@ coefficient rho_post = max(rho, 0) satisfies
 with alpha_post the better of alpha_star and the base point.  A zero
 linearized gain certifies the base point itself as optimal.
 
+The certificate reads alpha_star's path, integrated by its caller; it solves
+no dynamical system itself.  A caller with several picks integrates the
+distinct ones once, as one stack, and certifies each pick from its row.
+
 The certificate requires alpha_star to be an exact maximizer of the
 linearized objective over the feasible set (count-band and TU solvers are
 exact; the greedy knapsack solver is not, so the driver does not offer it).
@@ -32,9 +36,9 @@ from .solvers import binary_chunks, binary_rows
 from .system import (
     SystemSpec,
     TimeGrid,
+    Trajectory,
     as_binary,
     evaluate_payoff,
-    integrate,
     payoff_function,
     rowdot,
 )
@@ -83,14 +87,14 @@ def certify(
     alpha_bar,
     grad: Gradient,
     alpha_star,
-    grid: TimeGrid,
-    scheme: str = "euler",
+    path: Trajectory,
 ) -> CertifiedSolution:
     """Certify an exact linearized-program solution against the base point.
 
-    Payoffs are normalized by subtracting the cached base payoff; the spec
-    itself is never mutated.  One extra integration (for alpha_star) is the
-    only dynamical-system work, and its end state is kept.
+    ``path`` must be the single (N, n) trajectory produced by ``integrate``
+    for the same (spec, alpha_star), or a row of a stacked one; its payoff
+    is evaluated and its end state kept.  Payoffs are normalized by
+    subtracting the cached base payoff; the spec itself is never mutated.
     """
     abar = as_binary(alpha_bar, spec.decision_dim)
     astar = as_binary(alpha_star, spec.decision_dim)
@@ -98,10 +102,13 @@ def certify(
         raise DimensionError("gradient length does not match the system")
     if not np.array_equal(grad.base_point, abar):
         raise DimensionError("gradient was computed at a different base point")
+    if path.values.ndim != 2 or path.values.shape[1] != spec.state_dim:
+        raise DimensionError(
+            f"certify needs one (N, {spec.state_dim}) path, got {path.values.shape}"
+        )
 
     j_base = grad.base_payoff
-    star = integrate(spec, astar, grid, scheme)
-    j_star = evaluate_payoff(spec, star, astar)
+    j_star = evaluate_payoff(spec, path, astar)
     gain = float(grad.entries @ (astar - abar))
 
     optimal = abs(gain) < _ZERO_GAIN_TOL
@@ -117,7 +124,7 @@ def certify(
         alpha_post=alpha_post,
         payoff_post=payoff_post,
         base_payoff=j_base,
-        end_state=star.final_state,
+        end_state=path.final_state,
     )
 
 

@@ -88,10 +88,13 @@ def _cmd_optimize(config: argparse.Namespace, scenario: Scenario):
     else:
         lines = [f"receding horizon: {len(results)} steps, {scenario.params.m} units"]
         for res in results:
+            # The oracle route linearizes nothing: it applies the exhaustive optimum.
+            note = "exhaustive optimum applied" if res.kind == "oracle" else "base optimal"
+            tag = f"  ({note})" if res.optimal else ""
             lines.append(
                 f"step {res.step:3d}  on={int(res.alpha.sum()):3d}  "
                 f"power={_fnum(res.power_kw)} kW  payoff={_fnum(res.payoff)}  "
-                f"rho_post={_fnum(res.rho_post)}{'  (base optimal)' if res.optimal else ''}"
+                f"rho_post={_fnum(res.rho_post)}{tag}"
             )
     return lines
 
@@ -117,7 +120,9 @@ def _cmd_certify(config: argparse.Namespace, scenario: Scenario):
     else:
         lines = ["per-step suboptimality certificates"]
         for res in results:
-            if res.optimal:
+            if res.kind == "oracle":
+                lines.append(f"step {res.step:3d}  exhaustive optimum applied")
+            elif res.optimal:
                 lines.append(f"step {res.step:3d}  linearization point certified optimal")
             else:
                 lines.append(

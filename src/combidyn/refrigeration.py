@@ -30,6 +30,7 @@ from .solvers import TuRows, integer_array, is_feasible, solve_bruteforce, solve
 from .system import (
     SystemSpec,
     TimeGrid,
+    Trajectory,
     affine_state_model,
     integrate,
     evaluate_payoff,
@@ -584,17 +585,29 @@ class SlotPick(NamedTuple):
     end_state: np.ndarray
 
 
+def _pick_paths(spec: SystemSpec, picks, grid: TimeGrid, scheme: str):
+    """One path per pick from one pass: a 1-D integration when the picks are
+    all equal (a one-row stack is slower), else their (B, m) stack read by
+    row, which equals each pick integrated alone under the callback contract."""
+    if all(np.array_equal(alpha, picks[0]) for alpha in picks):
+        return [integrate(spec, picks[0], grid, scheme)] * len(picks)
+    stack = integrate(spec, np.stack(picks), grid, scheme).values
+    return [Trajectory(grid, stack[:, j]) for j in range(len(picks))]
+
+
 def slot_picks(spec: SystemSpec, alpha_bar, con: TuRows, band, kinds, solver, grid, scheme):
-    """Linearize once at ``alpha_bar``, then derive, solve, certify and apply
-    per derivative kind: {kind: SlotPick} in the order of ``kinds``.  End
-    states come from paths already integrated (the pick's or the base's)."""
+    """Linearize once at ``alpha_bar``, derive and solve per derivative kind,
+    integrate the distinct picks in one pass, then certify and apply each
+    kind's pick from its path: {kind: SlotPick} in the order of ``kinds``.
+    End states come from paths already integrated (the pick's or the base's)."""
     lin = linearize(spec, alpha_bar, grid, scheme)
     base_feasible = is_feasible(con, lin.base_point)
+    grads = [derivative(lin, kind) for kind in kinds]
+    stars = [solve_linearized(grad, con, band, solver) for grad in grads]
+    paths = _pick_paths(spec, stars, grid, scheme)
     picks = {}
-    for kind in kinds:
-        grad = derivative(lin, kind)
-        alpha_star = solve_linearized(grad, con, band, solver)
-        cert = certify(spec, lin.base_point, grad, alpha_star, grid, scheme)
+    for kind, grad, alpha_star, path in zip(kinds, grads, stars, paths):
+        cert = certify(spec, lin.base_point, grad, alpha_star, path)
         alpha, payoff = cert.applied(base_feasible)
         end = cert.end_state if np.array_equal(alpha, cert.alpha_star) else lin.forward.final_state
         picks[kind] = SlotPick(grad, cert, alpha, payoff, end)

@@ -134,7 +134,7 @@ class Knapsack:
 
 @dataclass(frozen=True)
 class ExplicitSet:
-    """A literal collection of admissible binary vectors."""
+    """A literal collection of admissible binary vectors of one length."""
 
     vectors: tuple
 
@@ -142,10 +142,15 @@ class ExplicitSet:
         vecs = tuple(np.asarray(v, dtype=float).reshape(-1) for v in self.vectors)
         if not vecs:
             raise ConstraintError("explicit constraint set is empty")
-        object.__setattr__(self, "vectors", vecs)
+        if len({v.size for v in vecs}) != 1:
+            raise ConstraintError("explicit vectors must all have the same length")
+        if not all(np.all((v == 0.0) | (v == 1.0)) for v in vecs):
+            raise ConstraintError("explicit vectors must be binary")
+        # (v == 1) drops the sign of a -0.0 entry, so equal vectors have equal bytes.
+        object.__setattr__(self, "vectors", tuple((v == 1.0).astype(float) for v in vecs))
 
     def _key_set(self):
-        return {v.astype(np.uint8).tobytes() for v in self.vectors}
+        return {v.tobytes() for v in self.vectors}
 
 
 ConstraintSet = Union[L0Band, TuRows, Knapsack, ExplicitSet]
@@ -168,7 +173,7 @@ def feasible_mask(constraints: ConstraintSet, A: np.ndarray) -> np.ndarray:
         return A @ constraints.weights <= constraints.capacity + 1e-9
     if isinstance(constraints, ExplicitSet):
         keys = constraints._key_set()
-        rows = np.ascontiguousarray(A.astype(np.uint8))
+        rows = np.ascontiguousarray(A, dtype=float) + 0.0  # -0.0 + 0.0 is 0.0
         return np.fromiter((r.tobytes() in keys for r in rows), bool, count=rows.shape[0])
     raise ConstraintError(f"unknown constraint set {type(constraints).__name__}")
 
@@ -280,6 +285,18 @@ def _suffix_table(m: int) -> np.ndarray:
     return table
 
 
+def _explicit_chunks(constraints: ExplicitSet, m: int):
+    """An explicit set's distinct vectors in code order, split at the
+    2^16-code block boundaries (where the leading m - 16 entries change);
+    nothing when its vectors are not m long."""
+    if constraints.vectors[0].size != m:
+        return
+    rows = np.unique(np.stack(constraints.vectors), axis=0)  # lexicographic: code order
+    high = max(m - _SUFFIX_BITS, 0)
+    new_block = np.any(rows[1:, :high] != rows[:-1, :high], axis=1)
+    yield from np.split(rows, np.flatnonzero(new_block) + 1)
+
+
 def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
     """Yield the feasible binary m-vectors as row blocks in lexicographic order.
 
@@ -290,10 +307,14 @@ def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
     mask a block before building it: the suffix table's row sums, computed
     once per call, are compared with ``rhs`` minus the prefix's row sums.
     Both sides are exact integers (binary decisions, integer rows), so the
-    mask equals :func:`feasible_mask` on the full block.  ``Knapsack`` and
-    ``ExplicitSet`` apply :func:`feasible_mask` to each built block.  Blocks
-    with no feasible row are skipped; the full table is never built.
+    mask equals :func:`feasible_mask` on the full block.  ``Knapsack``
+    applies :func:`feasible_mask` to each built block.  An ``ExplicitSet``
+    builds no block: its own vectors are the feasible rows.  Blocks with no
+    feasible row are skipped; the full table is never built.
     """
+    if isinstance(constraints, ExplicitSet):
+        yield from _explicit_chunks(constraints, m)
+        return
     high = max(m - _SUFFIX_BITS, 0)
     table = _suffix_table(m)
     integer = _integer_rows(constraints, m)

@@ -246,7 +246,7 @@ def test_criterion_07_certificates():
         grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
         # the certificate premise needs the exact linearized argmax
         astar, _ = solve_bruteforce(lambda A: A @ grad.entries, con, m)
-        cert = certify(spec, abar, grad, astar, grid, "rk4")
+        cert = certify(spec, abar, grad, astar, integrate(spec, astar, grid, "rk4"))
         _opt, opt_val = solve_bruteforce(batch, con, m)
         norm_opt = opt_val - cert.base_payoff
         norm_post = cert.payoff_post - cert.base_payoff
@@ -432,7 +432,7 @@ def test_criterion_12_transient_comparison():
         ):
             grad = derive(lin)
             astar = solve_tu(grad, con.rows, con.rhs)
-            cert = certify(slot, base, grad, astar, grid, "rk4")
+            cert = certify(slot, base, grad, astar, integrate(slot, astar, grid, "rk4"))
             totals[kind] += cert.payoff_post if is_feasible(con, base) else cert.payoff
     avg_std = totals["standard"] / 100.0
     avg_ns = totals["nonstandard"] / 100.0

@@ -44,7 +44,7 @@ def test_certify_zero_gain_flags_base_optimal():
     grid = _grid(spec)
     abar = np.zeros(1)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
-    cert = certify(spec, abar, grad, abar, grid, "rk4")
+    cert = certify(spec, abar, grad, abar, integrate(spec, abar, grid, "rk4"))
     assert cert.optimal and cert.rho is None
     assert cert.rho_post == 1.0
     assert np.array_equal(cert.alpha_post, abar)
@@ -56,7 +56,7 @@ def test_certify_post_processing_is_exact_max():
     abar = np.zeros(1)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     astar = np.ones(1)
-    cert = certify(spec, abar, grad, astar, grid, "rk4")
+    cert = certify(spec, abar, grad, astar, integrate(spec, astar, grid, "rk4"))
     assert cert.payoff_post == max(cert.payoff, cert.base_payoff)
     assert cert.rho_post == max(cert.rho, 0.0)
     assert cert.payoff_post >= cert.base_payoff
@@ -67,7 +67,7 @@ def test_certify_base_point_mismatch():
     grid = _grid(spec)
     grad = standard_derivative(linearize(spec, np.zeros(1), grid, "rk4"))
     with pytest.raises(DimensionError):
-        certify(spec, np.ones(1), grad, np.ones(1), grid, "rk4")
+        certify(spec, np.ones(1), grad, np.ones(1), integrate(spec, np.ones(1), grid, "rk4"))
 
 
 def _random_constraints(rng, m):
@@ -101,7 +101,7 @@ def test_certificate_bound_on_concave_instances(seed):
     con = _random_constraints(rng, m)
     # the certificate needs the exact argmax of the linearized objective
     astar, _ = solve_bruteforce(lambda A: A @ grad.entries, con, m)
-    cert = certify(spec, abar, grad, astar, grid, "rk4")
+    cert = certify(spec, abar, grad, astar, integrate(spec, astar, grid, "rk4"))
     _opt_alpha, opt_val = solve_bruteforce(batch, con, m)
 
     assert cert.payoff_post >= cert.base_payoff
@@ -181,7 +181,7 @@ def test_nonstandard_certificate_via_reformulated_concavity():
     grad = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
     con = L0Band(0, 2)
     astar = solve_l0(grad, 0, 2)
-    cert = certify(spec, abar, grad, astar, grid, "rk4")
+    cert = certify(spec, abar, grad, astar, integrate(spec, astar, grid, "rk4"))
 
     def payoff(a):
         return evaluate_payoff(spec, integrate(spec, a, grid, "rk4"), a)
@@ -252,7 +252,7 @@ def test_applied_decision_falls_back_to_pick_at_infeasible_base():
     grid = _grid(spec)
     abar = np.zeros(1)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
-    cert = certify(spec, abar, grad, np.ones(1), grid, "rk4")
+    cert = certify(spec, abar, grad, np.ones(1), integrate(spec, np.ones(1), grid, "rk4"))
     alpha, payoff = cert.applied(True)
     assert np.array_equal(alpha, cert.alpha_post) and payoff == cert.payoff_post
     alpha, payoff = cert.applied(False)

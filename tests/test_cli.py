@@ -133,6 +133,18 @@ def test_certify_report(small_scenario, tmp_path):
     assert all(0.0 <= float(r["rho_post"]) <= 1.0 + 1e-12 for r in rows)
 
 
+@pytest.mark.parametrize("command", ["optimize", "certify"])
+def test_oracle_report_says_the_exhaustive_optimum_is_applied(small_scenario, command, capsys):
+    # The oracle route linearizes nothing, so no step may claim a certified
+    # linearization point or base point.
+    argv = [command, "--scenario", small_scenario, "--grid", "101", "--solver", "oracle"]
+    assert _run([*argv, "--format", "report"]) == 0
+    steps = capsys.readouterr().out.splitlines()[1:]
+    assert len(steps) == 3
+    assert all("exhaustive optimum applied" in line for line in steps)
+    assert not any("linearization point" in line or "base optimal" in line for line in steps)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema_version: 1\nfleet: {m: oops}\n")

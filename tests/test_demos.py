@@ -1,6 +1,8 @@
-"""Every narrative demo runs to completion against this checkout's package."""
+"""Every narrative demo, and the README's python quickstart, runs to
+completion against this checkout's package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +13,24 @@ ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
+def _run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    done = _run_python([str(demo)])
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_quickstart_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    done = _run_python(["-c", blocks[0]])
     assert done.returncode == 0, done.stderr

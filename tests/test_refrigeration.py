@@ -10,10 +10,12 @@ from combidyn import (
     SystemSpec,
     TargetBandCase,
     TimeGrid,
+    Trajectory,
     TransientConfig,
     TuRows,
     build_etp_system,
     build_transient_system,
+    certify,
     check_monotone,
     check_submodular,
     default_fleet,
@@ -28,7 +30,9 @@ from combidyn import (
     run_receding_horizon,
     slot_picks,
     solve_adjoint,
+    solve_l0,
     standard_derivative,
+    step_constraints,
     step_system,
     trapezoid_weights,
     transient_members,
@@ -398,37 +402,92 @@ def test_scenario_rejects_duplicate_transient_members():
         dataclasses.replace(sc, transient=TransientConfig(sc.transient.xi, (10,)))
 
 
-def _count_calls(monkeypatch, *functions):
-    """Wrap each function under every name that holds it in the package
-    modules, so calls through any module-level binding are counted."""
-    counts = {fn.__name__: 0 for fn in functions}
+def _rebind(monkeypatch, fn, replacement):
+    """Replace ``fn`` under every name that holds it in the package modules,
+    so calls through any module-level binding reach the replacement."""
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "combidyn"]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, replacement)
+
+
+def _count_calls(monkeypatch, *functions):
+    counts = {fn.__name__: 0 for fn in functions}
     for fn in functions:
 
         def counted(*args, _fn=fn, **kwargs):
             counts[_fn.__name__] += 1
             return _fn(*args, **kwargs)
 
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+        _rebind(monkeypatch, fn, counted)
     return counts
 
 
 @pytest.mark.parametrize(
     "transient, kind, integrations",
-    [(False, "standard", 2), (True, "standard", 2), (True, "both", 3)],
+    [(False, "standard", 2), (True, "standard", 2), (True, "both", 2), (False, "both", 2)],
 )
 def test_one_forward_pass_and_one_costate_per_slot(monkeypatch, transient, kind, integrations):
     # Per slot: the base path (shared by every derivative kind), one costate
-    # pass on it, and one integration of each kind's pick inside certify.
+    # pass on it, and one pass over the distinct picks: a (2, m) stack when
+    # the transient fleet's two kinds pick differently, one 1-D integration
+    # when the linear fleet's coinciding derivatives pick the same decision.
     # The applied decision is never integrated again.
     sc = default_scenario(20, seed=0, num_steps=2, transient=transient)
     counts = _count_calls(monkeypatch, integrate, solve_adjoint)
     results = run_receding_horizon(sc, kind=kind, solver="l0", grid_points=51, scheme="rk4")
     assert len(results) == 2
     assert counts == {"integrate": 2 * integrations, "solve_adjoint": 2}
+
+
+def _first_slot(transient):
+    sc = default_scenario(20, seed=0, num_steps=1, transient=transient)
+    con, band = step_constraints(sc, 1)
+    return step_system(sc, sc.params.x0), con, band, TimeGrid(sc.step_hours, 51)
+
+
+@pytest.mark.parametrize("transient", [False, True])
+def test_distinct_picks_share_one_integration(monkeypatch, transient):
+    # After the base path, the slot integrates its distinct picks once: the
+    # transient fleet's two kinds pick differently and go through one (2, m)
+    # stack; the linear fleet's coinciding derivatives pick the same decision,
+    # which is integrated as a 1-D decision.
+    spec, con, band, grid = _first_slot(transient)
+    shapes = []
+
+    def recorded(spec, alpha, *args):
+        shapes.append(np.shape(alpha))
+        return integrate(spec, alpha, *args)
+
+    _rebind(monkeypatch, integrate, recorded)
+    kinds = ("standard", "nonstandard")
+    picks = slot_picks(spec, np.zeros(20), con, band, kinds, "l0", grid, "rk4")
+    std, ns = (picks[kind].cert.alpha_star for kind in kinds)
+    assert np.array_equal(std, ns) is not transient
+    assert shapes == [(20,), (2, 20) if transient else (20,)]
+
+
+@pytest.mark.parametrize("transient", [False, True])
+def test_certify_from_a_stacked_row_equals_a_single_integration(transient):
+    spec, con, band, grid = _first_slot(transient)
+    base = np.zeros(20)
+    grad = standard_derivative(linearize(spec, base, grid, "rk4"))
+    pick = solve_l0(grad, 0, 10)
+    other = np.roll(pick, 1)
+    assert not np.array_equal(pick, other)
+    stack = integrate(spec, np.stack([other, pick]), grid, "rk4")
+    from_row = certify(spec, base, grad, pick, Trajectory(grid, stack.values[:, 1]))
+    alone = certify(spec, base, grad, pick, integrate(spec, pick, grid, "rk4"))
+    for field in ("payoff", "rho", "rho_post", "payoff_post"):
+        assert getattr(from_row, field) == getattr(alone, field)
+    assert np.array_equal(from_row.end_state, alone.end_state)
+    assert np.array_equal(from_row.alpha_post, alone.alpha_post)
+    with pytest.raises(DimensionError):
+        certify(spec, base, grad, pick, stack)
+    narrow = Trajectory(grid, np.ascontiguousarray(stack.values[:, 1, :19]))
+    with pytest.raises(DimensionError):
+        certify(spec, base, grad, pick, narrow)
 
 
 @pytest.mark.parametrize("case", ["standard", "both", "oracle", "infeasible_base"])

@@ -21,7 +21,8 @@ from combidyn import (
     solve_l0,
     solve_tu,
 )
-from combidyn.solvers import binary_chunks, binary_rows, feasible_mask
+from combidyn import solvers
+from combidyn.solvers import binary_chunks, binary_rows, feasible_mask, is_feasible
 
 
 def _grad(entries):
@@ -324,6 +325,38 @@ def test_bruteforce_infeasible_over_every_block(m):
         assert next(binary_chunks(m, con), None) is None
         with pytest.raises(InfeasibleError):
             solve_bruteforce(lambda a: a @ never, con, m)
+
+
+@pytest.mark.parametrize("vectors", [((0.5, 1.0),), ((0.0, 1.0), (1.0, 0.0, 1.0)), ((2.0, 0.0),)])
+def test_explicit_set_rejects_non_binary_and_ragged_vectors(vectors):
+    with pytest.raises(ConstraintError):
+        ExplicitSet(vectors)
+
+
+def test_explicit_set_admits_only_its_own_vectors():
+    admissible = ExplicitSet(((0.0, 1.0),))
+    assert is_feasible(admissible, (0.0, 1.0)) and is_feasible(admissible, (-0.0, 1.0))
+    assert not is_feasible(admissible, (0.5, 1.0))
+    assert not is_feasible(admissible, (0.0, 1.0, 0.0))
+
+
+def test_explicit_enumeration_yields_its_vectors_without_the_table(monkeypatch):
+    # m = 20: the set's distinct vectors in code order, one block per
+    # 2^16-code block they fall in, and no 2^16-row table is built.
+    def refuse(*_args):
+        raise AssertionError("the explicit enumeration built a table")
+
+    monkeypatch.setattr(solvers, "_suffix_table", refuse)
+    monkeypatch.setattr(solvers, "binary_rows", refuse)
+    m = 20
+    top, low, last = np.eye(m)[0], np.eye(m)[-1], np.eye(m)[m - 17]
+    admissible = ExplicitSet((top, low, top, np.zeros(m), last))
+    blocks = list(binary_chunks(m, admissible))
+    assert [b.tolist() for b in blocks] == [[np.zeros(m).tolist(), low.tolist()], [last.tolist()], [top.tolist()]]
+    assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
+    assert list(binary_chunks(m + 1, admissible)) == []
+    best, val = solve_bruteforce(lambda a: a @ np.arange(m), admissible, m)
+    assert np.array_equal(best, low) and val == m - 1
 
 
 # ---------------------------------------------------------------------------
