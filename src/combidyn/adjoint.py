@@ -81,7 +81,7 @@ def solve_adjoint(
     if scheme == "euler":
         for k in range(n_pts - 2, -1, -1):
             lam = lam + h * rate(JF[k + 1], JR[k + 1], lam)
-            if not np.all(np.isfinite(lam)):
+            if not np.isfinite(lam).all():
                 raise AdjointDivergedError(k)
             out[k] = lam
     else:  # rk4 mirrored in time
@@ -94,7 +94,7 @@ def solve_adjoint(
             k3 = rate(MF[k], MR[k], lam + half * k2)
             k4 = rate(JF[k], JR[k], lam + h * k3)
             lam = lam + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.all(np.isfinite(lam)):
+            if not np.isfinite(lam).all():
                 raise AdjointDivergedError(k)
             out[k] = lam
 

@@ -24,9 +24,23 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .certify import CertifiedSolution, certify
-from .errors import ConstraintError, DimensionError, InfeasibleError, IntegrationDivergedError
+from .errors import (
+    ConstraintError,
+    DimensionError,
+    EnumerationRefusedError,
+    InfeasibleError,
+    IntegrationDivergedError,
+)
 from .gradient import Gradient, derivative, linearize
-from .solvers import TuRows, integer_array, is_feasible, solve_bruteforce, solve_l0, solve_tu
+from .solvers import (
+    TuRows,
+    feasible_count,
+    integer_array,
+    is_feasible,
+    solve_bruteforce,
+    solve_l0,
+    solve_tu,
+)
 from .system import (
     SystemSpec,
     TimeGrid,
@@ -136,6 +150,7 @@ def build_etp_system(params: EtpParams, alpha_slot_horizon: float) -> SystemSpec
     on it.
     """
     A, B, theta = _etp_matrices(params)
+    b = params.b  # B = -diag(b): its off-diagonal products are exact zeros
     running, jac_r_x = _penalty_payoff(params)
     n = params.m
     zero_m = np.zeros(n)
@@ -145,7 +160,7 @@ def build_etp_system(params: EtpParams, alpha_slot_horizon: float) -> SystemSpec
         decision_dim=n,
         initial_state=params.x0,
         horizon=alpha_slot_horizon,
-        vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a) + theta,
+        vector_field=lambda x, a, t: matvec(A, x) - b * a + theta,
         running_payoff=running,
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: A,
@@ -624,6 +639,28 @@ def slot_payoff(scenario: Scenario, spec: SystemSpec, grid: TimeGrid, scheme: st
     return payoff_function(spec, grid, scheme)
 
 
+# Path entries (feasible rows x knots x states) that the exhaustive oracle may
+# integrate for one slot of a fleet without a quadratic payoff model: 512 MB.
+_ORACLE_PATH_BUDGET = 1 << 26
+
+
+def _slot_optimum(scenario: Scenario, spec: SystemSpec, con: TuRows, grid, scheme, step: int):
+    """The exhaustive optimum of slot ``step`` as (alpha, payoff).  Without a
+    quadratic model every feasible row is integrated, so a non-linear fleet
+    is refused with EnumerationRefusedError before any integration when its
+    feasible rows x knots x states exceed _ORACLE_PATH_BUDGET."""
+    m = spec.decision_dim
+    if scenario.transient is not None:
+        rows = feasible_count(m, con)
+        if rows * grid.num_points * spec.state_dim > _ORACLE_PATH_BUDGET:
+            raise EnumerationRefusedError(
+                f"refusing the exhaustive oracle: {rows} feasible rows x {grid.num_points} "
+                f"knots x {spec.state_dim} states exceed {_ORACLE_PATH_BUDGET} path entries "
+                f"(step {step})"
+            )
+    return solve_bruteforce(slot_payoff(scenario, spec, grid, scheme), con, m)
+
+
 def run_receding_horizon(
     scenario: Scenario,
     kind: str = "standard",
@@ -654,8 +691,7 @@ def run_receding_horizon(
         abar = np.zeros(m)  # a fresh base point: the slot may apply it as its decision
         try:
             if solver == "oracle":
-                objective = slot_payoff(scenario, spec, grid, scheme)
-                applied, applied_payoff = solve_bruteforce(objective, con, m)
+                applied, applied_payoff = _slot_optimum(scenario, spec, con, grid, scheme, k)
                 # The base point and the optimum as one stack: base payoff, end state.
                 stack = np.stack([abar, applied])
                 paths = integrate(spec, stack, grid, scheme)
@@ -673,7 +709,7 @@ def run_receding_horizon(
 
             oracle_payoff = oracle_ratio = None
             if with_oracle and solver != "oracle":
-                _, oracle_payoff = solve_bruteforce(slot_payoff(scenario, spec, grid, scheme), con, m)
+                _, oracle_payoff = _slot_optimum(scenario, spec, con, grid, scheme, k)
                 gain_opt = oracle_payoff - base_payoff
                 small = gain_opt <= 1e-12 * (1 + abs(oracle_payoff))
                 oracle_ratio = 1.0 if small else (applied_payoff - base_payoff) / gain_opt

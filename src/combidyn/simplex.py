@@ -7,15 +7,21 @@ so the start is dual feasible for any right-hand side, and no phase 1 or
 artificial column is needed, not even for rows with a negative right-hand
 side.  If the start satisfies the rows, it is optimal after zero pivots.
 
-Each iteration the smallest-index basic variable outside its bounds leaves,
-and the smallest-index column of minimal ratio among those that keep the
-reduced costs dual feasible enters.  This dual form of Bland's rule rules out
-cycling; when no column is eligible, no point of the box satisfies the rows.
-See Koberstein, *The dual simplex method, techniques for a fast and stable
-implementation*, PhD thesis, Paderborn (2005).  Everything is dense and the
-basic values are re-solved from the basis each iteration: the programs here
-are small and exactness matters more than speed, in particular so that
-totally unimodular rows yield exactly integral vertices.
+Each iteration the smallest-index basic variable outside its bounds leaves.
+The ratio test flips bounds (Koberstein, *The dual simplex method, techniques
+for a fast and stable implementation*, PhD thesis, Paderborn (2005)): it
+walks the columns that keep the reduced costs dual feasible in order of
+ratio, smallest index first among equal ratios.  A boxed column passed while
+the leaving row stays infeasible moves to its other bound, and the first
+column that would clear the row enters.  When every eligible column is
+passed and the row is still infeasible, no point of the box satisfies the
+rows.
+
+The basis inverse is kept densely and updated by each pivot's rank-one
+(eta) step; it is rebuilt from the basis every _REFRESH pivots.  The duals
+are c_B B^-1 and the leaving row is read from B^-1.  The final vertex is
+solved afresh from its basis, so totally unimodular rows yield vertices that
+are integral up to the roundoff of one dense solve.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import DimensionError, InfeasibleError, NumericError
 _PIVOT_TOL = 1e-11
 _FEAS_TOL = 1e-7
 _MAX_ITER = 20000
+_REFRESH = 20  # pivots between rebuilds of the basis inverse
 
 
 @dataclass(frozen=True)
@@ -65,44 +72,53 @@ def solve_boxed_lp(problem: LpProblem):
     rhs = problem.rhs
     l, m = rows.shape
 
-    eye = np.eye(l)
-    A = np.hstack([rows, eye])
+    A = np.hstack([rows, np.eye(l)])
     c = np.concatenate([c0, np.zeros(l)])
-    hi = np.concatenate([np.ones(m), np.full(l, np.inf)])
+    hi = np.concatenate([np.ones(m), np.full(l, np.inf)])  # the flip range of a column
     at_upper = np.concatenate([c0 > 0.0, np.zeros(l, dtype=bool)])
     basis = np.arange(m, m + l)  # one variable index per row
+    inverse = np.eye(l)  # B^-1 of the slack basis
 
-    for _ in range(_MAX_ITER):
+    for pivots in range(_MAX_ITER):
+        if pivots and pivots % _REFRESH == 0:
+            inverse = np.linalg.inv(A[:, basis])
         x = at_upper.astype(float)  # nonbasic values; every lower bound is 0
         x[basis] = 0.0
-        B = A[:, basis]
-        x[basis] = np.linalg.solve(B, rhs - A @ x)
-
-        below = x[basis] < -_FEAS_TOL
-        above = x[basis] > hi[basis] + _FEAS_TOL
-        out = np.flatnonzero(below | above)
-        if out.size == 0:
+        residual = rhs - A @ x
+        xb = inverse @ residual
+        below, above = xb < -_FEAS_TOL, xb > hi[basis] + _FEAS_TOL
+        out = below | above
+        if not out.any():
+            x[basis] = np.linalg.solve(A[:, basis], residual)  # the vertex, solved afresh
             break
-        r = out[np.argmin(basis[out])]
+        r = int(np.argmin(np.where(out, basis, m + l)))  # the smallest leaving index
 
-        # Duals and row r of B^-1 A from one solve with B^T.
-        y, rho = np.linalg.solve(B.T, np.column_stack([c[basis], eye[r]])).T
-        reduced = c - y @ A
-        alpha = rho @ A
+        reduced = c - (c[basis] @ inverse) @ A
+        alpha = inverse[r] @ A  # row r of B^-1 A
         # The leaving value must rise when below its bound and fall when
         # above; a column at its lower bound can only rise, at its upper
         # bound only fall.
         step = alpha if below[r] else -alpha
         eligible = np.where(at_upper, step > _PIVOT_TOL, step < -_PIVOT_TOL)
         eligible[basis] = False
-        if not eligible.any():
+        cand = np.flatnonzero(eligible)
+        ratio = np.abs(reduced[cand]) / np.abs(alpha[cand])
+        walk = cand[np.argsort(ratio, kind="stable")]  # by ratio, then by index
+        # Passing a column moves it across its range and the leaving value by
+        # |alpha| times that range; the first column that clears the row enters.
+        infeasibility = -xb[r] if below[r] else xb[r] - hi[basis[r]]
+        k = int(np.searchsorted(np.cumsum(np.abs(alpha[walk]) * hi[walk]), infeasibility))
+        if k == walk.size:
             raise InfeasibleError("no point satisfies the rows inside the unit box")
-        ratio = np.full(m + l, np.inf)
-        ratio[eligible] = np.abs(reduced[eligible]) / np.abs(alpha[eligible])
-        entering = int(np.argmin(ratio))  # the first index of minimal ratio
+        entering = walk[k]
+        at_upper[walk[:k]] ^= True
 
         at_upper[basis[r]] = above[r]
         basis[r] = entering
+        column = inverse @ A[:, entering]
+        pivot_row = inverse[r] / column[r]
+        inverse -= column[:, None] * pivot_row
+        inverse[r] = pivot_row
     else:
         raise NumericError("simplex iteration guard exceeded")
 

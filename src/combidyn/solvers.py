@@ -311,6 +311,9 @@ def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
     applies :func:`feasible_mask` to each built block.  An ``ExplicitSet``
     builds no block: its own vectors are the feasible rows.  Blocks with no
     feasible row are skipped; the full table is never built.
+
+    The blocks are built in one buffer per call, so a block is valid only
+    until the next one is yielded: a consumer copies the rows it keeps.
     """
     if isinstance(constraints, ExplicitSet):
         yield from _explicit_chunks(constraints, m)
@@ -318,21 +321,37 @@ def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
     high = max(m - _SUFFIX_BITS, 0)
     table = _suffix_table(m)
     integer = _integer_rows(constraints, m)
-    if integer is not None:
+    if integer is None:
+        buffer = table.copy()  # an unconstrained block differs from it in the prefix only
+    else:
         rows, rhs = integer
         suffix_sums = rows @ table.T  # (l, 2^16) exact integers: the prefix columns are zero
+        buffer = np.empty_like(table)  # a block's kept rows fill its top only
     for prefix in binary_rows(0, 1 << high, high):
         if integer is None:
-            block = table.copy()
+            block = buffer
         else:
             slack = rhs - rows[:, :high] @ prefix
-            keep = np.all(suffix_sums <= slack[:, None], axis=0)
-            block = table.take(np.flatnonzero(keep), axis=0)
+            keep = np.flatnonzero(np.all(suffix_sums <= slack[:, None], axis=0))
+            # mode="clip" writes straight into ``out``; "raise" buffers a copy.
+            block = np.take(table, keep, axis=0, out=buffer[: keep.size], mode="clip")
         block[:, :high] = prefix
         if integer is None and constraints is not None:
             block = block[feasible_mask(constraints, block)]
         if block.shape[0]:
             yield block
+
+
+def _check_enumerable(m: int) -> None:
+    if m > _BRUTE_FORCE_LIMIT:
+        raise EnumerationRefusedError(f"refusing exhaustive search for m = {m} > {_BRUTE_FORCE_LIMIT}")
+
+
+def feasible_count(m: int, constraints: Optional[ConstraintSet]) -> int:
+    """The number of feasible binary m-vectors, summed over the blocks of
+    :func:`binary_chunks`; EnumerationRefusedError above m = 24."""
+    _check_enumerable(m)
+    return sum(block.shape[0] for block in binary_chunks(m, constraints))
 
 
 def solve_bruteforce(
@@ -351,8 +370,7 @@ def solve_bruteforce(
     InfeasibleError when nothing is feasible and EnumerationRefusedError
     above m = 24.
     """
-    if m > _BRUTE_FORCE_LIMIT:
-        raise EnumerationRefusedError(f"refusing exhaustive search for m = {m} > {_BRUTE_FORCE_LIMIT}")
+    _check_enumerable(m)
     best_val = -np.inf
     best_alpha = None
     for feas in binary_chunks(m, constraints):

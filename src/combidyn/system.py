@@ -53,7 +53,10 @@ def is_binary(alpha) -> bool:
 
 def matvec(M, v) -> np.ndarray:
     """M @ v over leading axes, (..., p, q) by (..., q): one BLAS call per
-    row, the same as for a single point, so the values are the same too."""
+    row, the same as for a single point, so the values are the same too.
+    A single vector goes straight to ``M @ v``, the same gemv."""
+    if v.ndim == 1:
+        return M @ v
     return (M @ v[..., None])[..., 0]
 
 
@@ -221,7 +224,7 @@ def _integrate_field(f, x0, alpha, grid, scheme) -> Trajectory:
     step = _step_factory(f, alpha, h, scheme)
     for k in range(n_pts - 1):
         x = step(x, times[k])
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise IntegrationDivergedError(k + 1)
         out[k + 1] = x
     out.flags.writeable = False

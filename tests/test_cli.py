@@ -338,3 +338,42 @@ def test_output_in_missing_directory_exit_code(small_scenario, tmp_path, capsys)
     out = str(tmp_path / "missing" / "run.csv")
     assert _run(["optimize", "--scenario", small_scenario, "--grid", "51", "--out", out]) == 2
     assert "error: cannot write the output file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "optimize"])
+def test_oracle_refuses_a_costly_non_linear_slot(command, tmp_path, monkeypatch, capsys):
+    # A transient fleet has no quadratic model, so the oracle would integrate
+    # every feasible row.  Above the path budget it refuses before any
+    # integration, with the configuration exit code.
+    from combidyn import refrigeration
+
+    sc = default_scenario(10, seed=2, num_steps=2, transient=True)
+    path = tmp_path / "transient10.yaml"
+    write_scenario(sc, str(path))
+    args = [command, "--scenario", str(path), "--scheme", "rk4", "--grid", "21"]
+    if command == "optimize":
+        args += ["--solver", "oracle"]
+    assert _run(args) == 0
+    capsys.readouterr()
+
+    def no_integration(*_args):
+        raise AssertionError("the refused oracle integrated a row")
+
+    monkeypatch.setattr(refrigeration, "_ORACLE_PATH_BUDGET", 21 * 10)
+    monkeypatch.setattr(refrigeration, "payoff_function", no_integration)
+    assert _run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: EnumerationRefusedError: refusing the exhaustive oracle: ")
+    assert " x 21 knots x 10 states exceed 210 path entries (step 1)" in err
+
+
+def test_linear_oracle_never_reaches_the_path_budget(monkeypatch, capsys):
+    # The quadratic model of a linear fleet integrates no row.
+    from combidyn import refrigeration
+
+    monkeypatch.setattr(refrigeration, "_ORACLE_PATH_BUDGET", 0)
+    argv = ["optimize", "--scenario", str(SCENARIO_DIR / "case1_m10.yaml"), "--solver", "oracle"]
+    assert _run(argv) == 0
+    golden = Path(__file__).parent / "golden" / "optimize_oracle_case1_m10.txt"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()

@@ -1,16 +1,19 @@
 """Byte-for-byte CLI regression against recorded outputs.
 
 Each file under ``tests/golden/`` is the recorded stdout of one command on a
-shipped scenario.  The two m = 20 oracle and concavity runs enumerate 2^20
-rows in sixteen blocks, so they cover the enumerator's block boundaries.  Changes that promise identical numbers keep these bytes
-and the exit code; a change that moves numbers on purpose re-records the
-affected files and says so in CHANGES.md.
+shipped scenario, or on the generated m = 100 Case II fleet, whose 41-row LP
+no shipped scenario has.  The two m = 20 oracle and concavity runs enumerate
+2^20 rows in sixteen blocks, so they cover the enumerator's block boundaries.
+Changes that promise identical numbers keep these bytes and the exit code; a
+change that moves numbers on purpose re-records the affected files and says
+so in CHANGES.md.
 """
 
 from pathlib import Path
 
 import pytest
 
+from combidyn import default_scenario, write_scenario
 from combidyn.cli import main
 
 ROOT = Path(__file__).parent
@@ -49,3 +52,13 @@ def test_cli_output_matches_recorded_bytes(name, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_m100_tu_certificates_match_recorded_bytes(tmp_path, capsys):
+    path = tmp_path / "tu_m100.yaml"
+    write_scenario(default_scenario(100, 0, "tu"), str(path))
+    argv = ["certify", "--scenario", str(path), "--derivative", "standard", "--solver", "tu", *RK4]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (GOLDEN / "certify_tu_m100.txt").read_bytes()

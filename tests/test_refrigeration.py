@@ -24,6 +24,7 @@ from combidyn import (
     finite_difference_standard,
     integrate,
     linearize,
+    matvec,
     nonstandard_derivative,
     penalty,
     quadratic_payoff_model,
@@ -537,3 +538,26 @@ def test_slot_pick_applies_the_base_path_when_the_pick_pays_less():
         assert pick.payoff == pick.cert.base_payoff
         assert np.array_equal(pick.end_state, integrate(spec, np.zeros(2), grid, "rk4").final_state)
         assert np.array_equal(pick.cert.end_state, integrate(spec, np.ones(2), grid, "rk4").final_state)
+
+
+@pytest.mark.parametrize("m", [10, 20, 100])
+def test_etp_field_equals_the_dense_decision_product(m):
+    # The field takes -b * a for matvec(B, a) with B = -diag(b): the dense
+    # product's off-diagonal terms are exact zeros, so the bits are the same
+    # at binary, relaxed (box overhang included) and stacked decisions.
+    from combidyn.refrigeration import _etp_matrices
+
+    params = default_fleet(m, seed=m)
+    spec = build_etp_system(params, 0.25)
+    A, B, theta = _etp_matrices(params)
+    assert np.array_equal(spec.jac_f_alpha(params.x0, np.zeros(m), 0.0), B)
+    rng = np.random.default_rng(m)
+    binary = rng.integers(0, 2, m).astype(float)
+    relaxed = rng.uniform(-0.01, 1.01, m)
+    relaxed[:3] = -0.01, 1.01, 0.0
+    stack = np.vstack([binary, relaxed, np.zeros(m), np.ones(m)])
+    for a in (binary, relaxed, np.zeros(m), stack):
+        x = rng.uniform(-2.0, 6.0, a.shape)
+        assert np.array_equal(spec.vector_field(x, a, 0.0), matvec(A, x) + matvec(B, a) + theta)
+    X = rng.uniform(-2.0, 6.0, (5,) + stack.shape)  # knots x decisions x states
+    assert np.array_equal(spec.vector_field(X, stack, 0.0), matvec(A, X) + matvec(B, stack) + theta)

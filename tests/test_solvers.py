@@ -398,3 +398,28 @@ def test_greedy_coverage_bound(seed):
     greedy = solve_greedy(coverage, L0Band(0, k), m)
     _, opt = solve_bruteforce(coverage, L0Band(0, k), m)
     assert coverage(greedy) >= (1.0 - 1.0 / np.e) * opt - 1e-9
+
+
+@pytest.mark.parametrize("kind", ["none", "tu"])
+def test_enumerator_blocks_share_one_buffer(kind):
+    # m = 20: every block is written into the same buffer, so a block is
+    # valid only until the next one is yielded.
+    con = _enumerator_constraints(kind, 20)
+    blocks = binary_chunks(20, con)
+    first = next(blocks)
+    second = next(blocks)
+    assert np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("kind", ["none", "l0", "tu", "knapsack", "explicit"])
+@pytest.mark.parametrize("m", [1, 5, 17])
+def test_feasible_count_is_the_masked_table_size(m, kind):
+    con = _enumerator_constraints(kind, m)
+    rows = binary_rows(0, 1 << m, m)
+    want = rows.shape[0] if con is None else int(feasible_mask(con, rows).sum())
+    assert solvers.feasible_count(m, con) == want
+
+
+def test_feasible_count_refuses_above_the_enumeration_limit():
+    with pytest.raises(EnumerationRefusedError):
+        solvers.feasible_count(25, None)

@@ -11,6 +11,7 @@ from combidyn import (
     evaluate_variational_payoff,
     integrate,
     integrate_variational,
+    matvec,
 )
 
 from support import random_poly_system, scalar_affine_system, scalar_exp_system
@@ -214,3 +215,16 @@ def test_grid_refinement_order(scheme, factor):
         errs.append(abs(evaluate_payoff(spec, traj, [0.0]) - exact))
     for big, small in zip(errs, errs[1:]):
         assert small <= factor * big
+
+
+def test_single_vector_matvec_equals_its_stacked_row():
+    # A 1-D vector goes straight to M @ v; each row of a stacked call must
+    # carry the same bits, for contiguous matrices and transposed views.
+    for n in range(1, 129):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n))
+        V = rng.standard_normal((4, 3, n))
+        for mat in (M, M.T, M[:, ::-1].T):
+            stacked = matvec(mat, V)
+            for i, j in np.ndindex(4, 3):
+                assert np.array_equal(matvec(mat, V[i, j]), stacked[i, j]), n
