@@ -81,6 +81,7 @@ from .certify import (
 )
 from .refrigeration import (
     EtpParams,
+    FleetQuadratic,
     QuadraticPayoff,
     Scenario,
     SlotPick,

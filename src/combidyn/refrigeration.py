@@ -18,7 +18,7 @@ field genuinely time dependent and separates the two derivative concepts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -363,6 +363,47 @@ class QuadraticPayoff:
         return v if np.ndim(v) else float(v)
 
 
+@dataclass(frozen=True)
+class FleetQuadratic:
+    """The part of a linear fleet's quadratic slot payoff that no slot changes.
+
+    ``sens`` holds the (N, n, m) sensitivity columns of the discrete path
+    (see affine_state_model) and ``quadratic`` the Hessian
+    -sum_k w_k sum_i 2 d_i S_ki^T S_ki, one GEMM over ``sens`` stacked to
+    (N n, m), symmetrized.  It is negative semidefinite because delta and
+    the trapezoid weights are nonnegative.  Both depend on the fleet, the
+    grid and the scheme but not on the initial temperatures, up to
+    roundoff, so a receding horizon builds them once and :meth:`model`
+    completes each slot from its all-off path.
+    """
+
+    params: EtpParams
+    grid: TimeGrid
+    sens: np.ndarray
+    quadratic: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        m = self.sens.shape[-1]
+        weights = 2.0 * trapezoid_weights(self.grid)[:, None] * self.params.delta
+        product = (self.sens * weights[..., None]).reshape(-1, m).T @ self.sens.reshape(-1, m)
+        quadratic = -0.5 * (product + product.T)  # the GEMM's rounding is not symmetric
+        quadratic.flags.writeable = False  # shared by every slot's model
+        object.__setattr__(self, "quadratic", quadratic)
+
+    def model(self, base: np.ndarray) -> QuadraticPayoff:
+        """The quadratic payoff of the slot whose all-off path is ``base``
+        (N, n): its ``constant`` and ``linear`` terms over the fleet's
+        sensitivities and Hessian."""
+        w = trapezoid_weights(self.grid)
+        p = self.params
+        lo, hi, d = p.theta_lo, p.theta_hi, p.delta
+        s = lo + hi
+        kappa = lo**2 + hi**2 - 0.5 * s * s
+        constant = -float(np.einsum("k,ki->", w, d * (2.0 * base**2 - 2.0 * s * base + kappa)))
+        linear = -np.einsum("k,ki,kim->m", w, d * (4.0 * base - 2.0 * s), self.sens)
+        return QuadraticPayoff(constant, linear, self.quadratic)
+
+
 def quadratic_payoff_model(
     params: EtpParams, horizon: float, grid: TimeGrid, scheme: str = "euler"
 ) -> QuadraticPayoff:
@@ -372,19 +413,12 @@ def quadratic_payoff_model(
     decision and the band penalty is quadratic in temperature, so the
     trapezoid payoff is an exact quadratic in the decision.  Produces the
     same numbers as integrate + evaluate_payoff on the same grid and scheme,
-    at a tiny fraction of the cost when sweeping many decisions.
+    at a tiny fraction of the cost when sweeping many decisions.  One probe
+    (affine_state_model) feeds both parts, :class:`FleetQuadratic` and its
+    :meth:`~FleetQuadratic.model`; a receding horizon builds the first once.
     """
-    spec = build_etp_system(params, horizon)
-    base, sens = affine_state_model(spec, grid, scheme)
-    w = trapezoid_weights(grid)
-    lo, hi, d = params.theta_lo, params.theta_hi, params.delta
-    s = lo + hi
-    kappa = lo**2 + hi**2 - 0.5 * s * s
-
-    constant = -float(np.einsum("k,ki->", w, d * (2.0 * base**2 - 2.0 * s * base + kappa)))
-    linear = -np.einsum("k,ki,kim->m", w, d * (4.0 * base - 2.0 * s), sens)
-    quadratic = -np.einsum("k,i,kim,kin->mn", w, 2.0 * d, sens, sens)
-    return QuadraticPayoff(constant, linear, quadratic)
+    base, sens = affine_state_model(build_etp_system(params, horizon), grid, scheme)
+    return FleetQuadratic(params, grid, sens).model(base)
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +625,15 @@ def solve_linearized(grad: Gradient, con: TuRows, band, solver: str):
 
 
 class SlotPick(NamedTuple):
-    """A kind's certified pick and the applied decision, payoff and end state."""
+    """A kind's certified pick and the applied decision, payoff and end state,
+    with the slot's base-point path that every kind linearized on."""
 
     grad: Gradient
     cert: CertifiedSolution
     alpha: np.ndarray
     payoff: float
     end_state: np.ndarray
+    base_path: Trajectory
 
 
 def _pick_paths(spec: SystemSpec, picks, grid: TimeGrid, scheme: str):
@@ -625,7 +661,7 @@ def slot_picks(spec: SystemSpec, alpha_bar, con: TuRows, band, kinds, solver, gr
         cert = certify(spec, lin.base_point, grad, alpha_star, path)
         alpha, payoff = cert.applied(base_feasible)
         end = cert.end_state if np.array_equal(alpha, cert.alpha_star) else lin.forward.final_state
-        picks[kind] = SlotPick(grad, cert, alpha, payoff, end)
+        picks[kind] = SlotPick(grad, cert, alpha, payoff, end, lin.forward)
     return picks
 
 
@@ -644,21 +680,37 @@ def slot_payoff(scenario: Scenario, spec: SystemSpec, grid: TimeGrid, scheme: st
 _ORACLE_PATH_BUDGET = 1 << 26
 
 
-def _slot_optimum(scenario: Scenario, spec: SystemSpec, con: TuRows, grid, scheme, step: int):
-    """The exhaustive optimum of slot ``step`` as (alpha, payoff).  Without a
-    quadratic model every feasible row is integrated, so a non-linear fleet
-    is refused with EnumerationRefusedError before any integration when its
-    feasible rows x knots x states exceed _ORACLE_PATH_BUDGET."""
+def _slot_optimum(
+    scenario: Scenario,
+    spec: SystemSpec,
+    con: TuRows,
+    grid,
+    scheme,
+    step: int,
+    base_path: Trajectory,
+    fleet: Optional[FleetQuadratic],
+):
+    """The exhaustive optimum of slot ``step`` as (alpha, payoff, fleet).
+
+    A linear fleet's payoff is ``fleet.model`` on the slot's all-off
+    ``base_path``; when ``fleet`` is None it is probed from ``spec`` and
+    returned for the later slots.  Without a quadratic model every feasible
+    row is integrated, so a non-linear fleet is refused with
+    EnumerationRefusedError before any row is integrated when its feasible
+    rows x knots x states exceed _ORACLE_PATH_BUDGET."""
     m = spec.decision_dim
-    if scenario.transient is not None:
-        rows = feasible_count(m, con)
-        if rows * grid.num_points * spec.state_dim > _ORACLE_PATH_BUDGET:
-            raise EnumerationRefusedError(
-                f"refusing the exhaustive oracle: {rows} feasible rows x {grid.num_points} "
-                f"knots x {spec.state_dim} states exceed {_ORACLE_PATH_BUDGET} path entries "
-                f"(step {step})"
-            )
-    return solve_bruteforce(slot_payoff(scenario, spec, grid, scheme), con, m)
+    if scenario.transient is None:
+        if fleet is None:
+            fleet = FleetQuadratic(scenario.params, grid, affine_state_model(spec, grid, scheme)[1])
+        return (*solve_bruteforce(fleet.model(base_path.values).value, con, m), fleet)
+    rows = feasible_count(m, con)
+    if rows * grid.num_points * spec.state_dim > _ORACLE_PATH_BUDGET:
+        raise EnumerationRefusedError(
+            f"refusing the exhaustive oracle: {rows} feasible rows x {grid.num_points} "
+            f"knots x {spec.state_dim} states exceed {_ORACLE_PATH_BUDGET} path entries "
+            f"(step {step})"
+        )
+    return (*solve_bruteforce(payoff_function(spec, grid, scheme), con, m), None)
 
 
 def run_receding_horizon(
@@ -676,13 +728,16 @@ def run_receding_horizon(
     the decision of the derivative concept with the better applied payoff.
     ``solver="oracle"`` applies the exact per-slot optimum instead.
     ``with_oracle=True`` additionally reports the exact optimum and the
-    achieved optimality ratio along the applied path.  A diverging
-    integration or costate and an infeasible slot raise with the step in
-    their message.
+    achieved optimality ratio along the applied path.  Both oracle routes
+    evaluate a linear fleet through one :class:`FleetQuadratic`, probed in
+    the first slot, completed per slot from the all-off path the slot
+    already integrated.  A diverging integration or costate and an
+    infeasible slot raise with the step in their message.
     """
     m = scenario.params.m
     grid = TimeGrid(scenario.step_hours, grid_points)
     x = scenario.params.x0.copy()
+    fleet = None  # a linear fleet's quadratic part, from the first oracle call
     results = []
 
     for k in range(1, scenario.num_steps + 1):
@@ -691,25 +746,27 @@ def run_receding_horizon(
         abar = np.zeros(m)  # a fresh base point: the slot may apply it as its decision
         try:
             if solver == "oracle":
-                applied, applied_payoff = _slot_optimum(scenario, spec, con, grid, scheme, k)
-                # The base point and the optimum as one stack: base payoff, end state.
-                stack = np.stack([abar, applied])
-                paths = integrate(spec, stack, grid, scheme)
-                base_payoff = float(evaluate_payoff(spec, paths, stack)[0])
-                end = paths.final_state[1]
+                base_path = integrate(spec, abar, grid, scheme)
+                applied, applied_payoff, fleet = _slot_optimum(
+                    scenario, spec, con, grid, scheme, k, base_path, fleet
+                )
+                base_payoff = evaluate_payoff(spec, base_path, abar)
+                end = integrate(spec, applied, grid, scheme).final_state
                 rho, rho_post, optimal, used_kind = None, 1.0, True, "oracle"
             else:
                 kinds = ("standard", "nonstandard") if kind == "both" else (kind,)
                 picks = slot_picks(spec, abar, con, band, kinds, solver, grid, scheme)
                 # Ties keep the first kind, so "both" prefers the standard one.
                 used_kind = max(picks, key=lambda one: picks[one].payoff)
-                _grad, cert, applied, applied_payoff, end = picks[used_kind]
+                _grad, cert, applied, applied_payoff, end, base_path = picks[used_kind]
                 base_payoff = cert.base_payoff
                 rho, rho_post, optimal = cert.rho, cert.rho_post, cert.optimal
 
             oracle_payoff = oracle_ratio = None
             if with_oracle and solver != "oracle":
-                _, oracle_payoff = _slot_optimum(scenario, spec, con, grid, scheme, k)
+                _, oracle_payoff, fleet = _slot_optimum(
+                    scenario, spec, con, grid, scheme, k, base_path, fleet
+                )
                 gain_opt = oracle_payoff - base_payoff
                 small = gain_opt <= 1e-12 * (1 + abs(oracle_payoff))
                 oracle_ratio = 1.0 if small else (applied_payoff - base_payoff) / gain_opt

@@ -257,10 +257,13 @@ def solve_knapsack(grad: Gradient, weights, capacity: float) -> np.ndarray:
 def binary_rows(start: int, stop: int, m: int) -> np.ndarray:
     """The binary m-vectors with codes start..stop-1 as float rows, in
     lexicographic order: entry 0 is the code's most significant bit.
-    Reversing the columns gives the little-endian reading of the same codes."""
-    codes = np.arange(start, stop, dtype=np.int64)[:, None]
-    shifts = m - 1 - np.arange(m, dtype=np.int64)
-    return ((codes >> shifts) & 1).astype(float)
+    Reversing the columns gives the little-endian reading of the same codes.
+    The bits are extracted in the narrowest unsigned type that holds the
+    codes and shifts, which keeps the integer temporary small."""
+    dtype = np.min_scalar_type(max(stop - 1, m, 0))
+    codes = np.arange(start, stop, dtype=dtype)[:, None]
+    shifts = (m - 1 - np.arange(m)).astype(dtype)
+    return ((codes >> shifts) & dtype.type(1)).astype(float)
 
 
 def _integer_rows(constraints: Optional[ConstraintSet], m: int):
@@ -285,6 +288,29 @@ def _suffix_table(m: int) -> np.ndarray:
     return table
 
 
+# Their range limits are exact in float64, so a clipped float slack casts exactly.
+_SUM_TYPES = (np.int8, np.int16, np.int32)
+
+
+@functools.lru_cache(maxsize=1)
+def _suffix_sums(m: int, shape: tuple, data: bytes) -> np.ndarray:
+    """``rows @ table.T`` for the float64 integer rows with the given shape
+    and bytes over the m-wide suffix table, cached read-only: (l, 2^16)
+    exact integers in the narrowest signed type that holds the largest
+    absolute row sum over the table's low 16 columns (its others are zero).
+    ConstraintError when that sum exceeds the int32 range."""
+    rows = np.frombuffer(data).reshape(shape)
+    low = rows[:, max(m - _SUFFIX_BITS, 0):]
+    bound = max(np.maximum(low, 0.0).sum(axis=1).max(initial=0.0),
+                np.maximum(-low, 0.0).sum(axis=1).max(initial=0.0))
+    dtype = next((t for t in _SUM_TYPES if bound <= np.iinfo(t).max), None)
+    if dtype is None:
+        raise ConstraintError(f"integer row sums up to {bound:g} exceed the enumerator's int32 range")
+    sums = (rows @ _suffix_table(m).T).astype(dtype)
+    sums.flags.writeable = False
+    return sums
+
+
 def _explicit_chunks(constraints: ExplicitSet, m: int):
     """An explicit set's distinct vectors in code order, split at the
     2^16-code block boundaries (where the leading m - 16 entries change);
@@ -304,10 +330,12 @@ def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
     (all 2^m codes form block 0 when m <= 16): the p-th prefix of the
     leading m - 16 entries in front of rows of the cached suffix table.
     Integer-row constraints (``TuRows``, and ``L0Band`` as the rows [1; -1])
-    mask a block before building it: the suffix table's row sums, computed
-    once per call, are compared with ``rhs`` minus the prefix's row sums.
-    Both sides are exact integers (binary decisions, integer rows), so the
-    mask equals :func:`feasible_mask` on the full block.  ``Knapsack``
+    mask a block before building it: the suffix table's row sums, cached per
+    row matrix in the narrowest signed integer type that holds them, are
+    compared with ``rhs`` minus the prefix's row sums, clipped to that
+    type's range.  Both sides are exact integers (binary decisions, integer
+    rows) and every sum lies inside the range, so the mask equals
+    :func:`feasible_mask` on the full block.  ``Knapsack``
     applies :func:`feasible_mask` to each built block.  An ``ExplicitSet``
     builds no block: its own vectors are the feasible rows.  Blocks with no
     feasible row are skipped; the full table is never built.
@@ -325,14 +353,15 @@ def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
         buffer = table.copy()  # an unconstrained block differs from it in the prefix only
     else:
         rows, rhs = integer
-        suffix_sums = rows @ table.T  # (l, 2^16) exact integers: the prefix columns are zero
+        suffix_sums = _suffix_sums(m, rows.shape, rows.tobytes())
+        info = np.iinfo(suffix_sums.dtype)
         buffer = np.empty_like(table)  # a block's kept rows fill its top only
     for prefix in binary_rows(0, 1 << high, high):
         if integer is None:
             block = buffer
         else:
-            slack = rhs - rows[:, :high] @ prefix
-            keep = np.flatnonzero(np.all(suffix_sums <= slack[:, None], axis=0))
+            slack = np.clip(rhs - rows[:, :high] @ prefix, info.min, info.max)
+            keep = np.flatnonzero(np.all(suffix_sums <= slack.astype(info.dtype)[:, None], axis=0))
             # mode="clip" writes straight into ``out``; "raise" buffers a copy.
             block = np.take(table, keep, axis=0, out=buffer[: keep.size], mode="clip")
         block[:, :high] = prefix

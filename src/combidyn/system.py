@@ -319,7 +319,10 @@ def affine_state_model(spec: SystemSpec, grid: TimeGrid, scheme: str = "euler"):
     decision, because every explicit fixed-step update is then an affine map;
     it costs one integration of the m + 1 rows zero, e_1, ..., e_m and lets
     exhaustive oracles evaluate the discrete payoff without one integration
-    per binary point.
+    per binary point.  For such a field sens does not depend on the initial
+    state, up to roundoff, so one probe serves every slot of a receding
+    horizon; base is the all-off path that :func:`integrate` gives for the
+    zero decision, bit for bit.
     """
     m = spec.decision_dim
     paths = integrate(spec, np.eye(m + 1, m, -1), grid, scheme).values

@@ -7,12 +7,15 @@ import pytest
 from combidyn import (
     ConstraintError,
     DimensionError,
+    EnumerationRefusedError,
+    FleetQuadratic,
     SystemSpec,
     TargetBandCase,
     TimeGrid,
     Trajectory,
     TransientConfig,
     TuRows,
+    affine_state_model,
     build_etp_system,
     build_transient_system,
     certify,
@@ -26,11 +29,13 @@ from combidyn import (
     linearize,
     matvec,
     nonstandard_derivative,
+    payoff_function,
     penalty,
     quadratic_payoff_model,
     run_receding_horizon,
     slot_picks,
     solve_adjoint,
+    solve_bruteforce,
     solve_l0,
     standard_derivative,
     step_constraints,
@@ -216,6 +221,19 @@ def test_quadratic_model_matches_integrated_payoff():
     batch = model.value(np.eye(10))
     singles = [model.value(row) for row in np.eye(10)]
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("m", [10, 20, 100])
+def test_fleet_hessian_is_symmetric_and_negative_semidefinite(m, scheme):
+    # -S^T W S with W = diag(2 w d) >= 0, symmetrized: symmetric bit for bit,
+    # and no eigenvalue above roundoff.
+    params = default_fleet(m, seed=m)
+    grid = TimeGrid(SLOT, 51)
+    sens = affine_state_model(build_etp_system(params, SLOT), grid, scheme)[1]
+    Q = FleetQuadratic(params, grid, sens).quadratic
+    assert np.array_equal(Q, Q.T)
+    assert np.linalg.eigvalsh(Q).max() <= 1e-12 * np.linalg.norm(Q)
 
 
 def test_case_one_payoff_is_concave_and_submodular_small_fleet():
@@ -440,6 +458,76 @@ def test_one_forward_pass_and_one_costate_per_slot(monkeypatch, transient, kind,
     results = run_receding_horizon(sc, kind=kind, solver="l0", grid_points=51, scheme="rk4")
     assert len(results) == 2
     assert counts == {"integrate": 2 * integrations, "solve_adjoint": 2}
+
+
+@pytest.mark.parametrize("route", [dict(with_oracle=True), dict(solver="oracle")])
+def test_linear_oracle_probes_the_fleet_once_per_horizon(monkeypatch, route):
+    # One probe stack in slot 1; after it each slot integrates its base path
+    # and the applied decision (the with_oracle route's pick, the oracle
+    # route's optimum) and reads the fleet's quadratic part for the oracle.
+    sc = default_scenario(20, seed=0, case="tu", num_steps=3)
+    counts = _count_calls(monkeypatch, integrate, affine_state_model, payoff_function)
+    results = run_receding_horizon(sc, grid_points=51, scheme="rk4", **route)
+    assert len(results) == 3
+    assert counts == {"integrate": 2 * 3 + 1, "affine_state_model": 1, "payoff_function": 0}
+
+
+@pytest.mark.parametrize("route", [dict(with_oracle=True), dict(solver="oracle")])
+def test_transient_oracle_integrates_every_row_under_the_path_budget(monkeypatch, route):
+    # A transient fleet has no quadratic model: every slot's oracle goes
+    # through payoff_function, and above the path budget it is refused.
+    from combidyn import refrigeration
+
+    sc = default_scenario(10, seed=0, num_steps=2, transient=True)
+    counts = _count_calls(monkeypatch, affine_state_model, payoff_function)
+    run_receding_horizon(sc, grid_points=21, scheme="rk4", **route)
+    assert counts == {"affine_state_model": 0, "payoff_function": 2}
+    monkeypatch.setattr(refrigeration, "_ORACLE_PATH_BUDGET", 21 * 10)
+    with pytest.raises(EnumerationRefusedError, match=r"\(step 1\)"):
+        run_receding_horizon(sc, grid_points=21, scheme="rk4", **route)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_slot_models_equal_a_per_slot_rebuild(monkeypatch, seed):
+    # Every slot's model (the fleet's Hessian and sensitivities from slot 1,
+    # completed by the slot's all-off path) equals quadratic_payoff_model
+    # rebuilt at the slot's temperatures: the constant bit for bit, the rest
+    # to roundoff, and the exhaustive optimum is the same decision.
+    sc = default_scenario(20, seed, "tu", num_steps=6)
+    grid = TimeGrid(sc.step_hours, 51)
+    models = []
+    fleet_model = FleetQuadratic.model
+
+    def recorded(self, base):
+        models.append(fleet_model(self, base))
+        return models[-1]
+
+    monkeypatch.setattr(FleetQuadratic, "model", recorded)
+    run = dict(grid_points=51, scheme="rk4")
+    checked = run_receding_horizon(sc, with_oracle=True, **run)
+    assert len(models) == 6
+    optimal = run_receding_horizon(sc, solver="oracle", **run)
+    assert len(models) == 12
+    plain = run_receding_horizon(sc, **run)
+    for route, results, slot_models in ((0, checked, models[:6]), (1, optimal, models[6:])):
+        x = sc.params.x0
+        for res, model in zip(results, slot_models):
+            rebuilt = quadratic_payoff_model(dataclasses.replace(sc.params, x0=x), SLOT, grid, "rk4")
+            assert model.constant == rebuilt.constant
+            for got, want in ((model.linear, rebuilt.linear), (model.quadratic, rebuilt.quadratic)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            con, _ = step_constraints(sc, res.step)
+            best, value = solve_bruteforce(rebuilt.value, con, 20)
+            if route:
+                assert np.array_equal(res.alpha, best)
+                assert abs(res.payoff - value) <= 1e-12 * abs(value)
+            else:
+                assert abs(res.oracle_payoff - value) <= 1e-12 * abs(value)
+            x = res.temperatures_end
+    # The oracle reads the applied path and does not move it.
+    for res, ref in zip(checked, plain):
+        assert res.payoff == ref.payoff and res.rho_post == ref.rho_post
+        assert np.array_equal(res.temperatures_end, ref.temperatures_end)
 
 
 def _first_slot(transient):

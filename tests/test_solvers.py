@@ -423,3 +423,53 @@ def test_feasible_count_is_the_masked_table_size(m, kind):
 def test_feasible_count_refuses_above_the_enumeration_limit():
     with pytest.raises(EnumerationRefusedError):
         solvers.feasible_count(25, None)
+
+
+@pytest.mark.parametrize("rhs", [(-5e9, 5e9), (5e9, -5e9), (5e9, 5e9), (24000.0, 5e9), (5e9, -3000.0)])
+def test_enumerator_narrow_sums_clip_the_slack(rhs):
+    # Entries of 3000 over the low 16 columns sum past the int16 range, so
+    # the cached sums are int32; right-hand sides beyond the int32 range on
+    # either side clip to it and still give the masked table, block by block.
+    m = 17
+    signs = np.where(np.arange(m) % 3 == 0, -1.0, 1.0)
+    con = TuRows(3000.0 * np.vstack([np.ones(m), signs]), rhs)
+    solvers._suffix_sums.cache_clear()
+    table = (binary_rows(start, start + (1 << 16), m) for start in (0, 1 << 16))
+    expected = [A[feasible_mask(con, A)] for A in table]
+    got = [block.tobytes() for block in binary_chunks(m, con)]  # one buffer: copy each
+    assert got == [A.tobytes() for A in expected if A.shape[0]]
+    sums = solvers._suffix_sums(m, con.rows.shape, con.rows.tobytes())
+    assert sums.dtype == np.int32 and not sums.flags.writeable
+
+
+def test_enumerator_sums_are_cached_once_per_row_matrix():
+    # The slots of a horizon share the row matrix and change only rhs: two
+    # calls with equal rows build the sums once, in the narrowest type.
+    m = 20
+    rows, rhs = exclusion_budget_rows(m)
+    solvers._suffix_sums.cache_clear()
+    for budget in (4.0, 5.0):
+        feasible_rhs = rhs.copy()
+        feasible_rhs[-1] = budget
+        assert sum(b.shape[0] for b in binary_chunks(m, TuRows(rows.copy(), feasible_rhs))) > 0
+    info = solvers._suffix_sums.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    sums = solvers._suffix_sums(m, rows.shape, rows.tobytes())
+    assert sums.dtype == np.int8 and not sums.flags.writeable
+    with pytest.raises(ValueError):
+        sums[0, 0] = 0
+
+
+def test_enumerator_refuses_sums_beyond_int32():
+    con = TuRows(np.full((1, 17), float(1 << 28)), [0.0])
+    with pytest.raises(ConstraintError, match="int32"):
+        next(binary_chunks(17, con))
+
+
+@pytest.mark.parametrize("start, stop, m", [(0, 32, 5), (0, 1 << 9, 9), ((1 << 16) - 3, (1 << 16) + 3, 17), ((1 << 40) - 2, 1 << 40, 41)])
+def test_binary_rows_are_the_codes_bits(start, stop, m):
+    # Against Python's own bit reading: entry j of code c is bit m - 1 - j,
+    # whatever integer type the extraction runs in.
+    want = [[(code >> (m - 1 - j)) & 1 for j in range(m)] for code in range(start, stop)]
+    got = binary_rows(start, stop, m)
+    assert got.dtype == np.float64 and got.tolist() == want
