@@ -3,7 +3,9 @@
 A random linear system with concave penalties stands in for a 'real' model.
 Because its payoff is concave in the decision vector, the linearized picks
 come with an a-posteriori guarantee: rho_post times the best possible
-(normalized) payoff is at most what the pick achieves.
+(normalized) payoff is at most what the pick achieves.  The concavity check,
+the exhaustive oracle and the set-function reports all read one payoff
+objective, built once by ``payoff_function``.
 """
 
 import numpy as np
@@ -16,11 +18,10 @@ from combidyn import (
     TuRows,
     certify,
     check_concavity_inequality,
-    check_monotone,
-    check_submodular,
     integrate,
     linearize,
     matvec,
+    monotonicity_report,
     payoff_function,
     rowdot,
     solve_bruteforce,
@@ -28,6 +29,7 @@ from combidyn import (
     solve_l0,
     solve_tu,
     standard_derivative,
+    submodularity_report,
 )
 
 rng = np.random.default_rng(3)
@@ -63,7 +65,7 @@ print(" ", np.round(grad.entries, 4))
 
 print()
 print("=== the concavity inequality validates the certificate premise ===")
-report = check_concavity_inequality(spec, abar, grad, grid, "rk4")
+report = check_concavity_inequality(payoff, abar, grad)
 print(f"  holds over all {report.checked} binary points: {report.holds}"
       f" (worst gap {report.worst_violation:.2e})")
 
@@ -101,5 +103,5 @@ print(f"  pick {pick_kn.astype(int)}  linearized value {grad.entries @ pick_kn:.
 
 print()
 print("=== set-function structure of the same payoff ===")
-print(f"  submodular (diminishing returns): {check_submodular(payoff, m)}")
-print(f"  monotone: {check_monotone(payoff, m)}")
+print(f"  submodular (diminishing returns): {submodularity_report(payoff, m).holds}")
+print(f"  monotone: {monotonicity_report(payoff, m).holds}")

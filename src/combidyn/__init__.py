@@ -27,14 +27,12 @@ from .system import (
     Trajectory,
     affine_state_model,
     as_binary,
+    blended_system,
     evaluate_payoff,
-    evaluate_variational_payoff,
     integrate,
-    integrate_variational,
     is_binary,
     matvec,
     payoff_function,
-    payoff_functional,
     rowdot,
     trapezoid_weights,
 )
@@ -74,8 +72,6 @@ from .certify import (
     SetFunctionReport,
     certify,
     check_concavity_inequality,
-    check_monotone,
-    check_submodular,
     monotonicity_report,
     submodularity_report,
 )

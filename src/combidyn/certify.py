@@ -33,15 +33,7 @@ import numpy as np
 from .errors import DimensionError, EnumerationRefusedError
 from .gradient import Gradient
 from .solvers import binary_chunks, binary_rows
-from .system import (
-    SystemSpec,
-    TimeGrid,
-    Trajectory,
-    as_binary,
-    evaluate_payoff,
-    payoff_function,
-    rowdot,
-)
+from .system import SystemSpec, Trajectory, as_binary, evaluate_payoff, rowdot
 
 _ZERO_GAIN_TOL = 1e-12
 _CONCAVITY_LIMIT = 20
@@ -137,37 +129,29 @@ class ConcavityReport:
 
 
 def check_concavity_inequality(
-    spec: SystemSpec,
-    alpha_bar,
-    grad: Gradient,
-    grid: TimeGrid,
-    scheme: str = "euler",
-    payoff_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    payoff: Callable[[np.ndarray], np.ndarray], alpha_bar, grad: Gradient
 ) -> ConcavityReport:
     """Exhaustively verify  g^T (alpha - base) >= J(alpha) - J(base)  over all
     binary vectors, the condition under which the certificate is valid.
 
-    Costs one integration per binary point (2^m total, guarded at m = 20),
-    batched by ``payoff_function``; ``payoff_fn`` may replace the
-    integrations when the caller has a faster exact evaluation of the same
-    discrete payoff, and maps decision rows (..., m) to payoffs (...).  The
-    tolerance is relative to the payoff magnitude so integration roundoff
-    does not flag spurious violations.
+    ``payoff`` is the discrete payoff J as an objective from decision rows
+    (..., m) to payoffs (...), such as ``payoff_function``; it is evaluated
+    at all 2^m binary points, guarded at m = 20.  The tolerance is relative
+    to the payoff magnitude so integration roundoff does not flag spurious
+    violations.
     """
-    m = spec.decision_dim
+    m = grad.entries.size
     if m > _CONCAVITY_LIMIT:
         raise EnumerationRefusedError(
             f"refusing 2^{m} payoff evaluations (limit m = {_CONCAVITY_LIMIT})"
         )
-    abar = as_binary(alpha_bar, spec.decision_dim)
-    if payoff_fn is None:
-        payoff_fn = payoff_function(spec, grid, scheme)
+    abar = as_binary(alpha_bar, m)
 
     worst_violation = -np.inf
     worst_alpha = abar
     holds = True
     for rows in binary_chunks(m):
-        j_alpha = np.asarray(payoff_fn(rows), dtype=float)
+        j_alpha = np.asarray(payoff(rows), dtype=float)
         violation = (j_alpha - grad.base_payoff) - rowdot(rows - abar, grad.entries)
         k = int(np.argmax(violation))  # the first worst, in lexicographic order
         if violation[k] > worst_violation:
@@ -199,55 +183,51 @@ class SetFunctionReport:
     witness: np.ndarray
 
 
+def _set_function_report(payoff: Callable[[np.ndarray], np.ndarray], m: int, scan):
+    """Tabulate the payoff and take the worst gap over the (base codes, gaps)
+    pairs that ``scan(table, codes)`` yields; the check holds when the worst
+    gap is within a tolerance relative to the payoff magnitude.  The witness
+    is the first base, in scan order, whose gap is within that tolerance of
+    the worst, so bases tied up to evaluation roundoff give a stable witness.
+    """
+    table = _payoff_table(payoff, m)
+    tol = 1e-9 * (1.0 + float(np.abs(table).max()))
+    scans = list(scan(table, np.arange(1 << m)))
+    worst = max((float(gaps.max()) for _, gaps in scans), default=-np.inf)
+    code = 0
+    for base, gaps in scans:
+        near = np.flatnonzero(gaps >= worst - tol)
+        if near.size:
+            code = int(base[near[0]])
+            break
+    witness = binary_rows(code, code + 1, m)[0, ::-1]  # little-endian
+    return SetFunctionReport(holds=bool(worst <= tol), worst_gap=worst, witness=witness)
+
+
 def submodularity_report(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> SetFunctionReport:
     """Diminishing returns over all set pairs: adding an element to a smaller
     set helps at least as much as adding it to a larger one.  Equivalent to
     all pairwise second differences being nonpositive, which is what is
-    enumerated here; the witness is the base set of the worst positive
-    second difference."""
-    table = _payoff_table(payoff, m)
-    tol = 1e-9 * (1.0 + float(np.abs(table).max()))
-    codes = np.arange(1 << m)
-    worst = -np.inf
-    worst_code = 0
-    for s in range(m):
-        bs = 1 << s
-        free_s = (codes & bs) == 0
-        for u in range(s + 1, m):
-            bu = 1 << u
-            base = codes[free_s & ((codes & bu) == 0)]
-            second = table[base | bs | bu] - table[base | bs] - table[base | bu] + table[base]
-            k = int(np.argmax(second))
-            if second[k] > worst:
-                worst = float(second[k])
-                worst_code = int(base[k])
-    witness = binary_rows(worst_code, worst_code + 1, m)[0, ::-1]  # little-endian
-    return SetFunctionReport(holds=bool(worst <= tol), worst_gap=worst, witness=witness)
+    enumerated here; the witness is the base set of the worst second
+    difference."""
 
+    def scan(table, codes):
+        for s in range(m):
+            for u in range(s + 1, m):
+                bs, bu = 1 << s, 1 << u
+                base = codes[(codes & (bs | bu)) == 0]
+                yield base, table[base | bs | bu] - table[base | bs] - table[base | bu] + table[base]
 
-def check_submodular(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> bool:
-    return submodularity_report(payoff, m).holds
+    return _set_function_report(payoff, m, scan)
 
 
 def monotonicity_report(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> SetFunctionReport:
     """Adding elements never decreases the payoff (checked over single-element
     additions, which suffices along subset chains)."""
-    table = _payoff_table(payoff, m)
-    tol = 1e-9 * (1.0 + float(np.abs(table).max()))
-    codes = np.arange(1 << m)
-    worst = -np.inf
-    worst_code = 0
-    for s in range(m):
-        bs = 1 << s
-        base = codes[(codes & bs) == 0]
-        drop = table[base] - table[base | bs]
-        k = int(np.argmax(drop))
-        if drop[k] > worst:
-            worst = float(drop[k])
-            worst_code = int(base[k])
-    witness = binary_rows(worst_code, worst_code + 1, m)[0, ::-1]  # little-endian
-    return SetFunctionReport(holds=bool(worst <= tol), worst_gap=worst, witness=witness)
 
+    def scan(table, codes):
+        for s in range(m):
+            base = codes[(codes & (1 << s)) == 0]
+            yield base, table[base] - table[base | (1 << s)]
 
-def check_monotone(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> bool:
-    return monotonicity_report(payoff, m).holds
+    return _set_function_report(payoff, m, scan)

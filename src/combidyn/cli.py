@@ -236,8 +236,7 @@ def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
     spec, _con, _band, grid = _first_slot(config, scenario)
     abar = np.zeros(scenario.params.m)
     grad = derivative(linearize(spec, abar, grid, config.scheme), _single_kind(config))
-    payoff_fn = slot_payoff(scenario, spec, grid, config.scheme)
-    report = check_concavity_inequality(spec, abar, grad, grid, config.scheme, payoff_fn=payoff_fn)
+    report = check_concavity_inequality(slot_payoff(scenario, spec, grid, config.scheme), abar, grad)
     verdict = "pass" if report.holds else "FAIL"
     lines = [
         f"concavity inequality ({grad.kind} derivative, {report.checked} points): {verdict}",

@@ -17,6 +17,10 @@ Both read one :class:`Linearization` (the base point's forward and costate
 solves, made once by :func:`linearize`) and add O(m) work per knot in one
 broadcast callback call over all knots (and, for the convex-combination
 derivative, all m flips).  For decision-affine systems they coincide.
+
+The finite-difference oracles integrate plain systems: the relaxed one at
+shifted decisions, the convex-combination one the
+:func:`~combidyn.system.blended_system` of the base and its flip.
 """
 
 from __future__ import annotations
@@ -32,11 +36,10 @@ from .system import (
     TimeGrid,
     Trajectory,
     as_binary,
+    blended_system,
     broadcast_result,
     evaluate_payoff,
-    evaluate_variational_payoff,
     integrate,
-    integrate_variational,
     matvec,
     rowdot,
     trapezoid_weights,
@@ -250,9 +253,9 @@ def variational_quotient(
     [ blended payoff at eps  -  payoff at the base ] / eps."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    traj = integrate_variational(spec, alpha_bar, alpha_to, eps, grid, scheme)
-    val = evaluate_variational_payoff(spec, traj, alpha_bar, alpha_to, eps)
     abar = as_binary(alpha_bar, spec.decision_dim)
+    blend = blended_system(spec, abar, alpha_to, eps)
+    val = evaluate_payoff(blend, integrate(blend, abar, grid, scheme), abar)
     base = evaluate_payoff(spec, integrate(spec, abar, grid, scheme), abar)
     return (val - base) / eps
 

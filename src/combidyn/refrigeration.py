@@ -30,6 +30,7 @@ from .errors import (
     EnumerationRefusedError,
     InfeasibleError,
     IntegrationDivergedError,
+    NumericError,
 )
 from .gradient import Gradient, derivative, linearize
 from .solvers import (
@@ -731,8 +732,8 @@ def run_receding_horizon(
     achieved optimality ratio along the applied path.  Both oracle routes
     evaluate a linear fleet through one :class:`FleetQuadratic`, probed in
     the first slot, completed per slot from the all-off path the slot
-    already integrated.  A diverging integration or costate and an
-    infeasible slot raise with the step in their message.
+    already integrated.  A diverging integration or costate, an infeasible
+    slot and a numeric failure raise with the step in their message.
     """
     m = scenario.params.m
     grid = TimeGrid(scenario.step_hours, grid_points)
@@ -778,6 +779,8 @@ def run_receding_horizon(
             if exc.step is not None:
                 raise
             raise InfeasibleError(str(exc), step=k) from None
+        except NumericError as exc:  # the simplex's and the oracle's
+            raise NumericError(f"{exc} (step {k})") from None
 
         x = end
         results.append(

@@ -33,6 +33,7 @@ from .errors import (
     ConstraintError,
     EnumerationRefusedError,
     InfeasibleError,
+    NumericError,
     TuViolationError,
 )
 from .gradient import Gradient
@@ -396,19 +397,26 @@ def solve_bruteforce(
     and the first maximizer within a block is kept, replaced only by a
     strictly larger value from a later block, so ties resolve toward the
     lexicographically smallest vector.  Returns (alpha, value); raises
-    InfeasibleError when nothing is feasible and EnumerationRefusedError
-    above m = 24.
+    InfeasibleError when nothing is feasible, NumericError when the
+    objective is NaN or no feasible value is above -inf, and
+    EnumerationRefusedError above m = 24.
     """
     _check_enumerable(m)
     best_val = -np.inf
     best_alpha = None
+    feasible = False
     for feas in binary_chunks(m, constraints):
         vals = np.asarray(objective(feas), dtype=float)
-        k = int(np.argmax(vals))
+        k = int(np.argmax(vals))  # a NaN, if there is one
+        if np.isnan(vals[k]):
+            raise NumericError("the objective is NaN at a feasible binary vector")
         if vals[k] > best_val:
             best_val = float(vals[k])
             best_alpha = feas[k].copy()
+        feasible = True
     if best_alpha is None:
+        if feasible:
+            raise NumericError("the objective is -inf at every feasible binary vector")
         raise InfeasibleError("no binary vector satisfies the constraints")
     return best_alpha, best_val
 

@@ -9,11 +9,14 @@ Everything here is pure: specs and trajectories are immutable after
 construction.  Every callable broadcasts over leading axes (see
 :class:`SystemSpec`), so one integration can carry a stack of B decisions
 along a batch axis, and one callback call covers every knot of a path.
+The blend of two decisions' fields and running payoffs
+(:func:`blended_system`) is itself a system, so the one integrator and the
+one payoff evaluator also give the convex-combination difference quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -214,23 +217,6 @@ def _step_factory(f, alpha, h, scheme):
     return step
 
 
-def _integrate_field(f, x0, alpha, grid, scheme) -> Trajectory:
-    times = grid.times
-    h = grid.step
-    n_pts = grid.num_points
-    x = np.array(x0, dtype=float)
-    out = np.empty((n_pts,) + x.shape)
-    out[0] = x
-    step = _step_factory(f, alpha, h, scheme)
-    for k in range(n_pts - 1):
-        x = step(x, times[k])
-        if not np.isfinite(x).all():
-            raise IntegrationDivergedError(k + 1)
-        out[k + 1] = x
-    out.flags.writeable = False
-    return Trajectory(grid=grid, values=out)
-
-
 def integrate(spec: SystemSpec, alpha, grid: TimeGrid, scheme: str = "euler") -> Trajectory:
     """Integrate the system forward with a fixed-step explicit scheme.
 
@@ -243,8 +229,18 @@ def integrate(spec: SystemSpec, alpha, grid: TimeGrid, scheme: str = "euler") ->
     _check_scheme(scheme)
     _check_grid(spec, grid)
     a = _check_decision(spec, alpha)
-    x0 = np.broadcast_to(spec.initial_state, a.shape[:-1] + (spec.state_dim,))
-    return _integrate_field(spec.vector_field, x0, a, grid, scheme)
+    times = grid.times
+    x = np.array(np.broadcast_to(spec.initial_state, a.shape[:-1] + (spec.state_dim,)))
+    out = np.empty((grid.num_points,) + x.shape)
+    out[0] = x
+    step = _step_factory(spec.vector_field, a, grid.step, scheme)
+    for k in range(grid.num_points - 1):
+        x = step(x, times[k])
+        if not np.isfinite(x).all():
+            raise IntegrationDivergedError(k + 1)
+        out[k + 1] = x
+    out.flags.writeable = False
+    return Trajectory(grid=grid, values=out)
 
 
 def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
@@ -254,23 +250,19 @@ def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
     return w
 
 
-def payoff_functional(spec: SystemSpec, traj: Trajectory, beta):
-    """Quadrature of r(x(t), beta) along a stored path, plus q at the end.
-
-    This is the payoff as a functional of an arbitrary path and an arbitrary
-    decision argument; ``evaluate_payoff`` is the special case where the path
-    was produced by the same decision.  A stacked (N, B, n) path with (B, m)
-    decisions gives B payoffs, a single path a float.
-    """
+def evaluate_payoff(spec: SystemSpec, traj: Trajectory, alpha):
+    """Trajectory payoff: trapezoid rule on the shared grid plus the
+    terminal payoff at the final knot.  A stacked (N, B, n) path with (B, m)
+    decisions gives B payoffs, a single path a float."""
     _check_grid(spec, traj.grid)
     X = traj.values
     if X.shape[-1] != spec.state_dim:
         raise DimensionError(
             f"trajectory has state dimension {X.shape[-1]}, expected {spec.state_dim}"
         )
-    b = decision_vector(beta)
+    a = decision_vector(alpha, spec.decision_dim)
     times = traj.grid.times.reshape((-1,) + (1,) * (X.ndim - 2))
-    rvals = broadcast_result(spec.running_payoff(X, b, times), X.shape[:-1], "running_payoff")
+    rvals = broadcast_result(spec.running_payoff(X, a, times), X.shape[:-1], "running_payoff")
     rows = np.ascontiguousarray(np.moveaxis(rvals, 0, -1))  # one trapezoid dot per path
     total = rowdot(rows, trapezoid_weights(traj.grid)) + np.asarray(
         spec.terminal_payoff(X[-1]), dtype=float
@@ -280,12 +272,6 @@ def payoff_functional(spec: SystemSpec, traj: Trajectory, beta):
         knot = len(X) - 1 if finite.all() else int(np.argmin(finite))
         raise IntegrationDivergedError(knot, f"non-finite payoff at knot {knot}")
     return total if total.ndim else float(total)
-
-
-def evaluate_payoff(spec: SystemSpec, traj: Trajectory, alpha):
-    """Trajectory payoff: trapezoid rule on the shared grid plus the
-    terminal payoff at the final knot; B payoffs for B stacked decisions."""
-    return payoff_functional(spec, traj, decision_vector(alpha, spec.decision_dim))
 
 
 _PATH_BUDGET = 1 << 21  # stored path entries per integrated block: 16 MB
@@ -331,61 +317,38 @@ def affine_state_model(spec: SystemSpec, grid: TimeGrid, scheme: str = "euler"):
     return base, sens
 
 
-def blended_field(spec: SystemSpec, alpha_base, alpha_dir, epsilon: float):
-    """Convex blend (1-eps) f(., base) + eps f(., dir) of two binary fields.
-
-    eps = 0 and eps = 1 return the pure fields so the degenerate cases
-    reproduce plain integration bit for bit.
-    """
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError("epsilon must lie in [0, 1]")
-    base = as_binary(alpha_base, spec.decision_dim)
-    target = as_binary(alpha_dir, spec.decision_dim)
-    f = spec.vector_field
-    if epsilon == 0.0:
-        return lambda x, _a, t: f(x, base, t)
-    if epsilon == 1.0:
-        return lambda x, _a, t: f(x, target, t)
-    w = 1.0 - epsilon
-
-    def blend(x, _a, t):
-        return w * f(x, base, t) + epsilon * f(x, target, t)
-
-    return blend
-
-
-def integrate_variational(
-    spec: SystemSpec,
-    alpha_base,
-    alpha_dir,
-    epsilon: float,
-    grid: TimeGrid,
-    scheme: str = "euler",
-) -> Trajectory:
-    """Integrate the blended system interpolating two binary decisions.
+def blended_system(spec: SystemSpec, alpha_base, alpha_dir, epsilon: float) -> SystemSpec:
+    """The system whose field, running payoff and state Jacobians blend those
+    of two binary decisions with weight eps on the direction.
 
     The blend happens in the space of vector fields, not decisions, so it is
     well defined even when the field is only declared on binary vectors.
+    Each value is written as v_base + eps (v_dir - v_base), and eps = 1
+    swaps the endpoints, so both endpoints reproduce the plain decision's
+    values exactly.  The blended system ignores its decision argument; its
+    terminal payoff enters once.
     """
-    _check_scheme(scheme)
-    _check_grid(spec, grid)
-    f = blended_field(spec, alpha_base, alpha_dir, epsilon)
-    return _integrate_field(f, spec.initial_state, None, grid, scheme)
-
-
-def evaluate_variational_payoff(
-    spec: SystemSpec, traj: Trajectory, alpha_base, alpha_dir, epsilon: float
-) -> float:
-    """Payoff of a blended trajectory: the running payoff is blended with the
-    same weight as the field, the terminal payoff enters once."""
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must lie in [0, 1]")
     base = as_binary(alpha_base, spec.decision_dim)
     target = as_binary(alpha_dir, spec.decision_dim)
-    if epsilon == 0.0:
-        return payoff_functional(spec, traj, base)
     if epsilon == 1.0:
-        return payoff_functional(spec, traj, target)
-    return (1.0 - epsilon) * payoff_functional(spec, traj, base) + epsilon * payoff_functional(
-        spec, traj, target
+        base, target, epsilon = target, base, 0.0
+
+    def blend(fn):
+        def blended(x, _a, t):
+            v = fn(x, base, t)
+            return v + epsilon * (fn(x, target, t) - v)
+
+        return blended
+
+    return replace(
+        spec,
+        vector_field=blend(spec.vector_field),
+        running_payoff=blend(spec.running_payoff),
+        jac_f_x=blend(spec.jac_f_x),
+        jac_r_x=blend(spec.jac_r_x),
+        jac_f_alpha=None,
+        jac_r_alpha=None,
+        relaxable=False,
     )

@@ -20,7 +20,6 @@ from combidyn import (
     build_etp_system,
     build_transient_system,
     certify,
-    check_submodular,
     default_fleet,
     default_scenario,
     evaluate_payoff,
@@ -42,6 +41,7 @@ from combidyn import (
     standard_derivative,
     step_constraints,
     step_system,
+    submodularity_report,
     trapezoid_weights,
     transient_members,
 )
@@ -323,8 +323,8 @@ def test_criterion_09_submodularity_examples():
 
     neg = payoff_fn(-1.0)
     pos = payoff_fn(+1.0)
-    assert check_submodular(neg, 2) is False
-    assert check_submodular(pos, 2) is True
+    assert submodularity_report(neg, 2).holds is False
+    assert submodularity_report(pos, 2).holds is True
 
     # closed-form second differences scale with the integral of (e^t - 1)^2
     bump = (E**2 - 1.0) / 2.0 - 2.0 * (E - 1.0) + 1.0

@@ -6,13 +6,14 @@ import pytest
 from combidyn import (
     DimensionError,
     TimeGrid,
+    blended_system,
     evaluate_payoff,
     hamiltonian,
     integrate,
     solve_adjoint,
 )
 
-from support import scalar_exp_system
+from support import random_nonrelaxable_system, random_poly_system, scalar_exp_system
 
 E = np.e
 
@@ -112,3 +113,20 @@ def test_initial_costate_matches_initial_state_sensitivity(terminal):
         vals.append(evaluate_payoff(shifted, traj, [0.0]))
     fd = (vals[0] - vals[1]) / (2.0 * h)
     assert abs(lam.values[0, 0] - fd) < 1e-3
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("make", [random_poly_system, random_nonrelaxable_system])
+def test_endpoint_blend_costate_equals_plain_costate(make, scheme):
+    # At eps = 0 (eps = 1) the blend's field and state Jacobians are those of
+    # the base (direction) decision exactly, so its forward path and costate
+    # are that decision's bit for bit.
+    spec = make(np.random.default_rng(11), 3, 4)
+    grid = TimeGrid(spec.horizon, 101)
+    abar, ato = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0, 1.0])
+    for eps, plain in ((0.0, abar), (1.0, ato)):
+        blend = blended_system(spec, abar, ato, eps)
+        forward = integrate(blend, abar, grid, scheme)
+        assert np.array_equal(forward.values, integrate(spec, plain, grid, scheme).values)
+        costate = solve_adjoint(blend, abar, forward, scheme).values
+        assert np.array_equal(costate, solve_adjoint(spec, plain, forward, scheme).values)

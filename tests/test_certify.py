@@ -10,13 +10,12 @@ from combidyn import (
     TuRows,
     certify,
     check_concavity_inequality,
-    check_monotone,
-    check_submodular,
     evaluate_payoff,
     integrate,
     linearize,
     monotonicity_report,
     nonstandard_derivative,
+    payoff_function,
     reformulate,
     solve_bruteforce,
     solve_l0,
@@ -27,7 +26,6 @@ from combidyn import (
 from support import (
     concave_quadratic_oracle,
     coupled_square_system,
-    exp_additive_system,
     random_concave_instance,
     scalar_affine_system,
 )
@@ -116,7 +114,7 @@ def test_concavity_check_passes_on_concave_instance():
     grid = _grid(spec)
     abar = np.zeros(4)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
-    report = check_concavity_inequality(spec, abar, grad, grid, "rk4")
+    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
     assert report.holds
     assert report.checked == 16
 
@@ -126,7 +124,7 @@ def test_concavity_check_fails_on_convex_square_payoff():
     grid = _grid(spec)
     abar = np.zeros(2)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
-    report = check_concavity_inequality(spec, abar, grad, grid, "rk4")
+    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
     assert not report.holds
     assert report.worst_violation > 1e-3
 
@@ -136,7 +134,7 @@ def test_concavity_check_single_bit():
     grid = _grid(spec)
     abar = np.zeros(1)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
-    report = check_concavity_inequality(spec, abar, grad, grid, "rk4")
+    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
     # affine-in-decision scalar system: linearization is exact up to
     # integration curvature in the decision, which is concave here
     assert report.checked == 2
@@ -176,7 +174,7 @@ def test_nonstandard_certificate_via_reformulated_concavity():
 
     hat = reformulate(spec)
     hat_grad = standard_derivative(linearize(hat, abar, grid, "rk4"))
-    assert check_concavity_inequality(hat, abar, hat_grad, grid, "rk4").holds
+    assert check_concavity_inequality(payoff_function(hat, grid, "rk4"), abar, hat_grad).holds
 
     grad = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
     con = L0Band(0, 2)
@@ -203,8 +201,8 @@ def _square_payoff(sign):
 
 
 def test_submodularity_counterexamples():
-    assert check_submodular(_square_payoff(-1.0), 2) is False
-    assert check_submodular(_square_payoff(+1.0), 2) is True
+    assert submodularity_report(_square_payoff(-1.0), 2).holds is False
+    assert submodularity_report(_square_payoff(+1.0), 2).holds is True
 
 
 def test_submodularity_closed_form_differences():
@@ -221,9 +219,9 @@ def test_submodularity_closed_form_differences():
 def test_modular_payoff_is_submodular_and_monotone():
     c = np.array([0.5, 1.0, 0.25])
     payoff = lambda a: a @ c
-    assert check_submodular(payoff, 3) is True
-    assert check_monotone(payoff, 3) is True
-    assert check_monotone(lambda a: -np.sum(a, axis=-1), 3) is False
+    assert submodularity_report(payoff, 3).holds is True
+    assert monotonicity_report(payoff, 3).holds is True
+    assert monotonicity_report(lambda a: -np.sum(a, axis=-1), 3).holds is False
 
 
 def test_set_function_witnesses_are_little_endian():
@@ -234,14 +232,27 @@ def test_set_function_witnesses_are_little_endian():
     assert mono.witness.tolist() == [0, 0, 1]
 
 
+def test_set_function_witness_is_first_of_roundoff_ties():
+    # Two bases tie for the worst gap up to a few units of roundoff, the later
+    # one slightly ahead: the witness is the first base in scan order, and the
+    # worst gap is still the true maximum.
+    tiny = 1e-15
+    sub = submodularity_report(lambda a: a[..., 0] * a[..., 1] * (1.0 + tiny * a[..., 2]), 3)
+    assert sub.worst_gap == 1.0 + tiny and sub.witness.tolist() == [0, 0, 0]
+    mono = monotonicity_report(lambda a: -a[..., 0] * (1.0 + tiny * a[..., 2]), 3)
+    assert mono.worst_gap == 1.0 + tiny and mono.witness.tolist() == [0, 0, 0]
+
+
+def test_set_function_report_without_pairs():
+    report = submodularity_report(lambda a: a[..., 0], 1)
+    assert report.holds and report.worst_gap == -np.inf and report.witness.tolist() == [0]
+
+
 def test_concavity_worst_alpha_is_first_in_lexicographic_order():
     # Four points tie for the worst violation; the report keeps the first in
     # lexicographic (entry 0 most significant) order.
-    spec = exp_additive_system(m=3)
     grad = Gradient("standard", np.zeros(3), np.zeros(3), 0.0)
-    report = check_concavity_inequality(
-        spec, np.zeros(3), grad, _grid(spec, 11), payoff_fn=lambda a: np.abs(a[..., 0] - a[..., 2])
-    )
+    report = check_concavity_inequality(lambda a: np.abs(a[..., 0] - a[..., 2]), np.zeros(3), grad)
     assert not report.holds and report.checked == 8
     assert report.worst_violation == 1.0
     assert report.worst_alpha.tolist() == [0, 0, 1]

@@ -238,6 +238,24 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
         assert out == "" and message in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_oracle_overflowing_payoff_is_a_numeric_failure(tmp_path, capsys):
+    # Heat-transfer rates scaled by 1e6 on a coarse grid: the step-2 payoff
+    # model overflows at every feasible row.  That is a numeric failure of
+    # the slot, named as such, not an infeasible slot.
+    import dataclasses
+
+    sc = default_scenario(10, seed=0, num_steps=2)
+    fast = dataclasses.replace(sc, params=dataclasses.replace(sc.params, a=sc.params.a * 1e6))
+    path = tmp_path / "diverging.yaml"
+    write_scenario(fast, str(path))
+    argv = ["optimize", "--scenario", str(path), "--solver", "oracle", "--grid", "21"]
+    assert _run(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: NumericError: ")
+    assert err.rstrip().endswith("(step 2)")
+
+
 def test_solver_choices(small_scenario, tmp_path):
     for solver in ("l0", "tu"):
         out = str(tmp_path / f"{solver}.csv")

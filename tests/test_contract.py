@@ -8,6 +8,7 @@ import combidyn.system as system
 from combidyn import (
     TimeGrid,
     affine_state_model,
+    blended_system,
     build_etp_system,
     build_transient_system,
     costate_pairing,
@@ -66,6 +67,9 @@ SYSTEMS = {
         random_additive_system(np.random.default_rng(6), 3, 4)
     ),
     "reformulated_transient": lambda: reformulate(_transient(10)),
+    "blended_transient": lambda: blended_system(
+        _transient(10), np.zeros(10), np.tile([1.0, 0.0], 5), 0.3
+    ),
 }
 
 

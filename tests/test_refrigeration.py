@@ -19,8 +19,7 @@ from combidyn import (
     build_etp_system,
     build_transient_system,
     certify,
-    check_monotone,
-    check_submodular,
+    check_concavity_inequality,
     default_fleet,
     default_scenario,
     evaluate_payoff,
@@ -28,6 +27,7 @@ from combidyn import (
     integrate,
     linearize,
     matvec,
+    monotonicity_report,
     nonstandard_derivative,
     payoff_function,
     penalty,
@@ -40,6 +40,7 @@ from combidyn import (
     standard_derivative,
     step_constraints,
     step_system,
+    submodularity_report,
     trapezoid_weights,
     transient_members,
 )
@@ -240,17 +241,12 @@ def test_case_one_payoff_is_concave_and_submodular_small_fleet():
     params = default_fleet(10, seed=13)
     grid = TimeGrid(SLOT, 101)
     model = quadratic_payoff_model(params, SLOT, grid, "rk4")
-    assert check_submodular(model.value, 10) is True
+    assert submodularity_report(model.value, 10).holds is True
     spec = build_etp_system(params, SLOT)
     grad = standard_derivative(linearize(spec, np.zeros(10), grid, "rk4"))
-    from combidyn import check_concavity_inequality
-
-    report = check_concavity_inequality(
-        spec, np.zeros(10), grad, grid, "rk4", payoff_fn=model.value
-    )
-    assert report.holds
+    assert check_concavity_inequality(model.value, np.zeros(10), grad).holds
     # monotonicity is scenario dependent; just exercise the report
-    check_monotone(model.value, 10)
+    monotonicity_report(model.value, 10)
 
 
 def test_case_one_derivatives_coincide():

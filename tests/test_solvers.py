@@ -11,6 +11,7 @@ from combidyn import (
     InfeasibleError,
     Knapsack,
     L0Band,
+    NumericError,
     TuRows,
     TuViolationError,
     exclusion_budget_rows,
@@ -248,6 +249,23 @@ def test_bruteforce_guard():
 def test_bruteforce_infeasible():
     with pytest.raises(InfeasibleError):
         solve_bruteforce(lambda a: np.zeros(len(a)), TuRows([[1.0, 1.0]], [-1.0]), 2)
+
+
+def test_bruteforce_nan_or_all_minus_inf_is_a_numeric_failure():
+    nan_at_first_on = lambda a: np.where(a[:, 0] == 1.0, np.nan, a.sum(axis=1))
+    for objective, con in (
+        (lambda a: np.full(len(a), np.nan), None),
+        (nan_at_first_on, None),
+        (lambda a: np.full(len(a), -np.inf), L0Band(1, 2)),
+    ):
+        with pytest.raises(NumericError):
+            solve_bruteforce(objective, con, 3)
+    # -inf at some rows is a value; an infeasible set stays infeasible
+    minus_inf_at_first_on = lambda a: np.where(a[:, 0] == 1.0, -np.inf, a.sum(axis=1))
+    best, value = solve_bruteforce(minus_inf_at_first_on, None, 3)
+    assert best.tolist() == [0.0, 1.0, 1.0] and value == 2.0
+    with pytest.raises(InfeasibleError):
+        solve_bruteforce(lambda a: np.full(len(a), np.nan), TuRows([[1.0, 1.0]], [-1.0]), 2)
 
 
 def _enumerator_constraints(kind, m):

@@ -7,10 +7,9 @@ from combidyn import (
     NotRelaxableError,
     SystemSpec,
     TimeGrid,
+    blended_system,
     evaluate_payoff,
-    evaluate_variational_payoff,
     integrate,
-    integrate_variational,
     matvec,
 )
 
@@ -129,8 +128,8 @@ def test_variational_endpoints_reproduce_plain_integration():
     grid = TimeGrid(1.0, 301)
     base = integrate(spec, [0.0], grid)
     target = integrate(spec, [1.0], grid)
-    at0 = integrate_variational(spec, [0.0], [1.0], 0.0, grid)
-    at1 = integrate_variational(spec, [0.0], [1.0], 1.0, grid)
+    at0 = integrate(blended_system(spec, [0.0], [1.0], 0.0), [0.0], grid)
+    at1 = integrate(blended_system(spec, [0.0], [1.0], 1.0), [0.0], grid)
     assert np.array_equal(at0.values, base.values)
     assert np.array_equal(at1.values, target.values)
 
@@ -138,7 +137,7 @@ def test_variational_endpoints_reproduce_plain_integration():
 def test_variational_midpoint_matches_halfway_field():
     spec = scalar_affine_system()
     grid = TimeGrid(1.0, 1001)
-    traj = integrate_variational(spec, [0.0], [1.0], 0.5, grid, "rk4")
+    traj = integrate(blended_system(spec, [0.0], [1.0], 0.5), [0.0], grid, "rk4")
     assert abs(traj.final_state[0] - 0.5 * (E - 1.0)) < 1e-5
 
 
@@ -159,15 +158,12 @@ def test_variational_payoff_blend():
         jac_r_alpha=lambda x, a, t: np.array([1.0]),
     )
     grid = TimeGrid(1.0, 101)
-    traj = integrate_variational(spec, [0.0], [1.0], 0.25, grid)
-    val = evaluate_variational_payoff(spec, traj, [0.0], [1.0], 0.25)
+    blend = lambda eps: blended_system(spec, [0.0], [1.0], eps)
+    traj = integrate(blend(0.25), [0.0], grid)
+    val = evaluate_payoff(blend(0.25), traj, [0.0])
     assert abs(val - 0.25) < 1e-12
-    assert evaluate_variational_payoff(spec, traj, [0.0], [1.0], 0.0) == evaluate_payoff(
-        spec, traj, [0.0]
-    )
-    assert evaluate_variational_payoff(spec, traj, [0.0], [1.0], 1.0) == evaluate_payoff(
-        spec, traj, [1.0]
-    )
+    assert evaluate_payoff(blend(0.0), traj, [0.0]) == evaluate_payoff(spec, traj, [0.0])
+    assert evaluate_payoff(blend(1.0), traj, [0.0]) == evaluate_payoff(spec, traj, [1.0])
 
 
 def test_blend_deviation_scales_linearly():
@@ -179,7 +175,7 @@ def test_blend_deviation_scales_linearly():
     base = integrate(spec, abar, grid, "rk4").values
     devs = []
     for eps in (0.2, 0.1, 0.05, 0.025):
-        blend = integrate_variational(spec, abar, atarget, eps, grid, "rk4").values
+        blend = integrate(blended_system(spec, abar, atarget, eps), abar, grid, "rk4").values
         devs.append(float(np.max(np.linalg.norm(blend - base, axis=1))))
     for big, small in zip(devs, devs[1:]):
         assert small <= 0.55 * big + 1e-12
@@ -195,7 +191,7 @@ def test_blend_squared_deviation_vanishes_superlinearly():
     h = grid.step
     seq = []
     for eps in (0.2, 0.1, 0.05, 0.025):
-        blend = integrate_variational(spec, abar, atarget, eps, grid, "rk4").values
+        blend = integrate(blended_system(spec, abar, atarget, eps), abar, grid, "rk4").values
         seq.append(float(np.sum(np.linalg.norm(blend - base, axis=1) ** 2) * h / eps))
     assert all(b > s for b, s in zip(seq, seq[1:]))
     assert seq[-1] <= 0.5 * seq[0]
