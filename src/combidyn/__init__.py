@@ -93,6 +93,7 @@ from .refrigeration import (
     penalty,
     quadratic_payoff_model,
     run_receding_horizon,
+    slot_payoff,
     slot_picks,
     solve_linearized,
     step_constraints,

@@ -42,7 +42,7 @@ from .refrigeration import (
     step_system,
 )
 from .scenario_io import parse_scenario
-from .system import TimeGrid
+from .system import TimeGrid, integrate
 
 _CONFIG_ERRORS = (ScenarioError, ConstraintError, DimensionError, EnumerationRefusedError)
 
@@ -235,8 +235,10 @@ def _cmd_compare(config: argparse.Namespace, scenario: Scenario):
 def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
     spec, _con, _band, grid = _first_slot(config, scenario)
     abar = np.zeros(scenario.params.m)
-    grad = derivative(linearize(spec, abar, grid, config.scheme), _single_kind(config))
-    report = check_concavity_inequality(slot_payoff(scenario, spec, grid, config.scheme), abar, grad)
+    lin = linearize(spec, abar, grid, config.scheme)
+    payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, lin.forward)
+    grad = derivative(lin, _single_kind(config))
+    report = check_concavity_inequality(payoff_fn, abar, grad)
     verdict = "pass" if report.holds else "FAIL"
     lines = [
         f"concavity inequality ({grad.kind} derivative, {report.checked} points): {verdict}",
@@ -247,7 +249,8 @@ def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
 
 def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
     spec, _con, _band, grid = _first_slot(config, scenario)
-    payoff_fn = slot_payoff(scenario, spec, grid, config.scheme)
+    base_path = integrate(spec, np.zeros(scenario.params.m), grid, config.scheme)
+    payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, base_path)
     sub = submodularity_report(payoff_fn, scenario.params.m)
     mono = monotonicity_report(payoff_fn, scenario.params.m)
     lines = [
@@ -310,7 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     config = _build_parser().parse_args(argv)
     try:
-        lines = _DISPATCH[config.command](config, parse_scenario(config.scenario))
+        with np.errstate(all="ignore"):  # the package's finiteness checks report instead
+            lines = _DISPATCH[config.command](config, parse_scenario(config.scenario))
     except CombidynError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, _CONFIG_ERRORS):

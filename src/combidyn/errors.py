@@ -2,7 +2,13 @@
 
 
 class CombidynError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  One raised inside a receding-horizon
+    slot carries the slot's 1-based ``step``, which its message names last."""
+
+    step = None
+
+    def __str__(self):
+        return super().__str__() + ("" if self.step is None else f" (step {self.step})")
 
 
 class DimensionError(CombidynError):
@@ -37,10 +43,6 @@ class ConstraintError(CombidynError):
 
 class InfeasibleError(CombidynError):
     """No binary vector satisfies the constraints."""
-
-    def __init__(self, message="infeasible constraint set", step=None):
-        self.step = step
-        super().__init__(message if step is None else f"{message} (step {step})")
 
 
 class TuViolationError(CombidynError):

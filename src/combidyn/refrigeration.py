@@ -9,10 +9,12 @@ subject to either an aggregate power band or customer-specified totally
 unimodular operation rows.
 
 The per-slot problem is solved through the package's linearize-certify
-pipeline; a receding-horizon driver carries the room temperatures across
-slots.  A transient variant models units that keep cooling for a short while
-after an OFF command through a decaying exponential term, which makes the
-field genuinely time dependent and separates the two derivative concepts.
+pipeline, and ``slot_payoff`` is its exact objective for the oracles; a
+receding-horizon driver carries the room temperatures across slots and
+names the slot of any package error raised in one.  A transient variant
+models units that keep cooling for a short while after an OFF command
+through a decaying exponential term, which makes the field genuinely time
+dependent and separates the two derivative concepts.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ import numpy as np
 
 from .certify import CertifiedSolution, certify
 from .errors import (
+    CombidynError,
     ConstraintError,
     DimensionError,
     EnumerationRefusedError,
     InfeasibleError,
-    IntegrationDivergedError,
-    NumericError,
 )
 from .gradient import Gradient, derivative, linearize
 from .solvers import (
@@ -129,17 +130,30 @@ def _etp_matrices(params: EtpParams):
     return A, B, theta
 
 
-def _penalty_payoff(params: EtpParams):
+def _fleet_system(params: EtpParams, horizon: float, A, vector_field, jac_f_alpha) -> SystemSpec:
+    """The fleet system of a field with state Jacobian A and decision
+    Jacobian ``jac_f_alpha``: the negated band penalty is its running
+    payoff, free of the decision, and it has no terminal payoff."""
     lo, hi, d = params.theta_lo, params.theta_hi, params.delta
     s = lo + hi
+    n = params.m
+    zero_m = np.zeros(n)
 
-    def running(x, _a, _t):
-        return -np.sum(penalty(x, lo, hi, d), axis=-1)
-
-    def jac_r_x(x, _a, _t):
-        return -d * (4.0 * x - 2.0 * s)
-
-    return running, jac_r_x
+    return SystemSpec(
+        state_dim=n,
+        decision_dim=n,
+        initial_state=params.x0,
+        horizon=horizon,
+        vector_field=vector_field,
+        running_payoff=lambda x, a, t: -np.sum(penalty(x, lo, hi, d), axis=-1),
+        terminal_payoff=lambda x: 0.0,
+        jac_f_x=lambda x, a, t: A,
+        jac_r_x=lambda x, a, t: -d * (4.0 * x - 2.0 * s),
+        jac_q_x=lambda x: np.zeros(n),
+        jac_f_alpha=jac_f_alpha,
+        jac_r_alpha=lambda x, a, t: zero_m,
+        relaxable=True,
+    )
 
 
 def build_etp_system(params: EtpParams, alpha_slot_horizon: float) -> SystemSpec:
@@ -152,24 +166,8 @@ def build_etp_system(params: EtpParams, alpha_slot_horizon: float) -> SystemSpec
     """
     A, B, theta = _etp_matrices(params)
     b = params.b  # B = -diag(b): its off-diagonal products are exact zeros
-    running, jac_r_x = _penalty_payoff(params)
-    n = params.m
-    zero_m = np.zeros(n)
-
-    return SystemSpec(
-        state_dim=n,
-        decision_dim=n,
-        initial_state=params.x0,
-        horizon=alpha_slot_horizon,
-        vector_field=lambda x, a, t: matvec(A, x) - b * a + theta,
-        running_payoff=running,
-        terminal_payoff=lambda x: 0.0,
-        jac_f_x=lambda x, a, t: A,
-        jac_r_x=jac_r_x,
-        jac_q_x=lambda x: np.zeros(n),
-        jac_f_alpha=lambda x, a, t: B,
-        jac_r_alpha=lambda x, a, t: zero_m,
-        relaxable=True,
+    return _fleet_system(
+        params, alpha_slot_horizon, A, lambda x, a, t: matvec(A, x) - b * a + theta, lambda x, a, t: B
     )
 
 
@@ -206,9 +204,7 @@ def build_transient_system(
     mem[list(members)] = True
 
     A, _B, theta = _etp_matrices(params)
-    running, jac_r_x = _penalty_payoff(params)
     b = params.b
-    zero_m = np.zeros(m)
 
     def cooling(a, t):
         t = np.asarray(t)[..., None]
@@ -221,20 +217,8 @@ def build_transient_system(
         out[..., range(m), range(m)] = diag
         return out
 
-    return SystemSpec(
-        state_dim=m,
-        decision_dim=m,
-        initial_state=params.x0,
-        horizon=alpha_slot_horizon,
-        vector_field=lambda x, a, t: matvec(A, x) + theta - cooling(a, t),
-        running_payoff=running,
-        terminal_payoff=lambda x: 0.0,
-        jac_f_x=lambda x, a, t: A,
-        jac_r_x=jac_r_x,
-        jac_q_x=lambda x: np.zeros(m),
-        jac_f_alpha=jac_f_alpha,
-        jac_r_alpha=lambda x, a, t: zero_m,
-        relaxable=True,
+    return _fleet_system(
+        params, alpha_slot_horizon, A, lambda x, a, t: matvec(A, x) + theta - cooling(a, t), jac_f_alpha
     )
 
 
@@ -597,7 +581,9 @@ def step_constraints(scenario: Scenario, k: int):
         k_hi = min(m, math.floor(scenario.case.y_hi[k - 1] / unit + 1e-9))
         k_lo = max(0, math.ceil(scenario.case.y_lo[k - 1] / unit - 1e-9))
         if k_lo > k_hi:
-            raise InfeasibleError("power band admits no ON-count", step=k)
+            exc = InfeasibleError("power band admits no ON-count")
+            exc.step = k  # the first-slot commands call this outside the driver
+            raise exc
         rows = np.vstack([np.ones(m), -np.ones(m)])
         rhs = np.array([float(k_hi), float(-k_lo)])
         return TuRows(rows, rhs), (k_lo, k_hi)
@@ -666,14 +652,16 @@ def slot_picks(spec: SystemSpec, alpha_bar, con: TuRows, band, kinds, solver, gr
     return picks
 
 
-def slot_payoff(scenario: Scenario, spec: SystemSpec, grid: TimeGrid, scheme: str):
-    """The exact discrete payoff of one slot as an objective over decision
-    rows (..., m): the quadratic model for linear fleets, batched
-    integrations (see ``payoff_function``) otherwise."""
-    if scenario.transient is None:
-        params = replace(scenario.params, x0=spec.initial_state)
-        return quadratic_payoff_model(params, scenario.step_hours, grid, scheme).value
-    return payoff_function(spec, grid, scheme)
+def slot_payoff(scenario: Scenario, spec: SystemSpec, grid, scheme, base_path, fleet=None):
+    """(objective, fleet): the exact discrete payoff of one slot over decision
+    rows (..., m).  For a linear fleet it is ``fleet.model`` on the slot's
+    all-off ``base_path``, ``fleet`` probed from ``spec`` when None and kept
+    for later slots; any other fleet integrates the rows, with fleet None."""
+    if scenario.transient is not None:
+        return payoff_function(spec, grid, scheme), None
+    if fleet is None:
+        fleet = FleetQuadratic(scenario.params, grid, affine_state_model(spec, grid, scheme)[1])
+    return fleet.model(base_path.values).value, fleet
 
 
 # Path entries (feasible rows x knots x states) that the exhaustive oracle may
@@ -681,37 +669,21 @@ def slot_payoff(scenario: Scenario, spec: SystemSpec, grid: TimeGrid, scheme: st
 _ORACLE_PATH_BUDGET = 1 << 26
 
 
-def _slot_optimum(
-    scenario: Scenario,
-    spec: SystemSpec,
-    con: TuRows,
-    grid,
-    scheme,
-    step: int,
-    base_path: Trajectory,
-    fleet: Optional[FleetQuadratic],
-):
-    """The exhaustive optimum of slot ``step`` as (alpha, payoff, fleet).
-
-    A linear fleet's payoff is ``fleet.model`` on the slot's all-off
-    ``base_path``; when ``fleet`` is None it is probed from ``spec`` and
-    returned for the later slots.  Without a quadratic model every feasible
-    row is integrated, so a non-linear fleet is refused with
-    EnumerationRefusedError before any row is integrated when its feasible
-    rows x knots x states exceed _ORACLE_PATH_BUDGET."""
+def _slot_optimum(scenario: Scenario, spec: SystemSpec, con: TuRows, grid, scheme, base_path, fleet):
+    """The exhaustive optimum of :func:`slot_payoff` as (alpha, payoff, fleet).
+    Without a quadratic model every feasible row is integrated, so a
+    non-linear fleet whose feasible rows x knots x states exceed
+    _ORACLE_PATH_BUDGET is refused before any row is integrated."""
     m = spec.decision_dim
-    if scenario.transient is None:
-        if fleet is None:
-            fleet = FleetQuadratic(scenario.params, grid, affine_state_model(spec, grid, scheme)[1])
-        return (*solve_bruteforce(fleet.model(base_path.values).value, con, m), fleet)
-    rows = feasible_count(m, con)
-    if rows * grid.num_points * spec.state_dim > _ORACLE_PATH_BUDGET:
-        raise EnumerationRefusedError(
-            f"refusing the exhaustive oracle: {rows} feasible rows x {grid.num_points} "
-            f"knots x {spec.state_dim} states exceed {_ORACLE_PATH_BUDGET} path entries "
-            f"(step {step})"
-        )
-    return (*solve_bruteforce(payoff_function(spec, grid, scheme), con, m), None)
+    if scenario.transient is not None:
+        rows = feasible_count(m, con)
+        if rows * grid.num_points * spec.state_dim > _ORACLE_PATH_BUDGET:
+            raise EnumerationRefusedError(
+                f"refusing the exhaustive oracle: {rows} feasible rows x {grid.num_points} "
+                f"knots x {spec.state_dim} states exceed {_ORACLE_PATH_BUDGET} path entries"
+            )
+    objective, fleet = slot_payoff(scenario, spec, grid, scheme, base_path, fleet)
+    return (*solve_bruteforce(objective, con, m), fleet)
 
 
 def run_receding_horizon(
@@ -730,30 +702,22 @@ def run_receding_horizon(
     ``solver="oracle"`` applies the exact per-slot optimum instead.
     ``with_oracle=True`` additionally reports the exact optimum and the
     achieved optimality ratio along the applied path.  Both oracle routes
-    evaluate a linear fleet through one :class:`FleetQuadratic`, probed in
-    the first slot, completed per slot from the all-off path the slot
-    already integrated.  A diverging integration or costate, an infeasible
-    slot and a numeric failure raise with the step in their message.
+    take one exhaustive step over :func:`slot_payoff`, which probes a linear
+    fleet once per horizon.  A package error raised in slot k carries step k.
     """
     m = scenario.params.m
     grid = TimeGrid(scenario.step_hours, grid_points)
     x = scenario.params.x0.copy()
-    fleet = None  # a linear fleet's quadratic part, from the first oracle call
+    fleet = None  # a linear fleet's quadratic part, from the first oracle step
     results = []
 
     for k in range(1, scenario.num_steps + 1):
-        spec = step_system(scenario, x)
-        con, band = step_constraints(scenario, k)
         abar = np.zeros(m)  # a fresh base point: the slot may apply it as its decision
         try:
+            spec = step_system(scenario, x)
+            con, band = step_constraints(scenario, k)
             if solver == "oracle":
                 base_path = integrate(spec, abar, grid, scheme)
-                applied, applied_payoff, fleet = _slot_optimum(
-                    scenario, spec, con, grid, scheme, k, base_path, fleet
-                )
-                base_payoff = evaluate_payoff(spec, base_path, abar)
-                end = integrate(spec, applied, grid, scheme).final_state
-                rho, rho_post, optimal, used_kind = None, 1.0, True, "oracle"
             else:
                 kinds = ("standard", "nonstandard") if kind == "both" else (kind,)
                 picks = slot_picks(spec, abar, con, band, kinds, solver, grid, scheme)
@@ -762,25 +726,23 @@ def run_receding_horizon(
                 _grad, cert, applied, applied_payoff, end, base_path = picks[used_kind]
                 base_payoff = cert.base_payoff
                 rho, rho_post, optimal = cert.rho, cert.rho_post, cert.optimal
+            if with_oracle or solver == "oracle":
+                optimum, best, fleet = _slot_optimum(scenario, spec, con, grid, scheme, base_path, fleet)
+            if solver == "oracle":
+                base_payoff = evaluate_payoff(spec, base_path, abar)
+                applied, applied_payoff = optimum, best
+                end = integrate(spec, applied, grid, scheme).final_state
+                rho, rho_post, optimal, used_kind = None, 1.0, True, "oracle"
 
             oracle_payoff = oracle_ratio = None
-            if with_oracle and solver != "oracle":
-                _, oracle_payoff, fleet = _slot_optimum(
-                    scenario, spec, con, grid, scheme, k, base_path, fleet
-                )
-                gain_opt = oracle_payoff - base_payoff
-                small = gain_opt <= 1e-12 * (1 + abs(oracle_payoff))
+            if with_oracle:
+                oracle_payoff, gain_opt = best, best - base_payoff
+                small = gain_opt <= 1e-12 * (1 + abs(best))
                 oracle_ratio = 1.0 if small else (applied_payoff - base_payoff) / gain_opt
-            elif with_oracle:
-                oracle_payoff, oracle_ratio = applied_payoff, 1.0
-        except IntegrationDivergedError as exc:  # the costate's error included
-            raise type(exc)(exc.knot_index, f"{exc} (step {k})") from None
-        except InfeasibleError as exc:  # the LP's and the oracle's
-            if exc.step is not None:
-                raise
-            raise InfeasibleError(str(exc), step=k) from None
-        except NumericError as exc:  # the simplex's and the oracle's
-            raise NumericError(f"{exc} (step {k})") from None
+        except CombidynError as exc:
+            if exc.step is None:
+                exc.step = k
+            raise
 
         x = end
         results.append(

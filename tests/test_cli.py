@@ -1,10 +1,14 @@
 import csv
+import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from combidyn import default_scenario, write_scenario
+from combidyn import TuCase, default_scenario, write_scenario
 from combidyn.cli import main
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -395,3 +399,99 @@ def test_linear_oracle_never_reaches_the_path_budget(monkeypatch, capsys):
     assert _run(argv) == 0
     golden = Path(__file__).parent / "golden" / "optimize_oracle_case1_m10.txt"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def _diverging_scenario(path):
+    # Heat-transfer rates scaled by 1e6: numpy overflows on the way to the
+    # package's own non-finite checks.
+    sc = default_scenario(10, seed=0, num_steps=2)
+    fast = dataclasses.replace(sc, params=dataclasses.replace(sc.params, a=sc.params.a * 1e6))
+    write_scenario(fast, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (
+            ["optimize", "--solver", "oracle", "--grid", "21"],
+            "NumericError: the objective is -inf at every feasible binary vector (step 2)",
+        ),
+        (
+            ["certify", "--solver", "l0", "--grid", "201"],
+            "IntegrationDivergedError: non-finite state at knot 106 (step 1)",
+        ),
+    ],
+)
+def test_numeric_failure_prints_only_the_error_line(tmp_path, options, message):
+    # A separate interpreter, because pytest captures warnings in-process:
+    # numpy's overflow warnings must not reach stderr ahead of the error.
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command, *rest = options
+    argv = [command, "--scenario", _diverging_scenario(tmp_path / "diverging.yaml"), *rest]
+    proc = subprocess.run(
+        [sys.executable, "-m", "combidyn.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def _odd_cycle_rows():
+    sc = default_scenario(10, seed=2, num_steps=2)
+    odd_cycle = np.zeros((3, 10))
+    odd_cycle[0, 0] = odd_cycle[0, 1] = 1.0
+    odd_cycle[1, 1] = odd_cycle[1, 2] = 1.0
+    odd_cycle[2, 0] = odd_cycle[2, 2] = 1.0
+    return dataclasses.replace(sc, case=TuCase(odd_cycle, np.ones(3), np.ones(2)))
+
+
+@pytest.mark.parametrize(
+    "scenario, options, code, start, end",
+    [
+        (_odd_cycle_rows, ["optimize", "--grid", "51"], 4, "TuViolationError: ", "not TU (step 1)"),
+        (
+            lambda: default_scenario(30, 0, "tu", num_steps=2),
+            ["oracle", "--grid", "21"],
+            2,
+            "EnumerationRefusedError: ",
+            "m = 30 > 24 (step 1)",
+        ),
+        (
+            lambda: default_scenario(10, 2, "tu", num_steps=2),
+            ["optimize", "--solver", "l0", "--grid", "21"],
+            2,
+            "ConstraintError: ",
+            "target-band cases only (step 1)",
+        ),
+    ],
+)
+def test_slot_errors_name_their_step_once(tmp_path, capsys, scenario, options, code, start, end):
+    path = tmp_path / "slot.yaml"
+    write_scenario(scenario(), str(path))
+    command, *rest = options
+    assert _run([command, "--scenario", str(path), *rest]) == code
+    out, err = capsys.readouterr()
+    line = err.rstrip("\n")
+    assert out == "" and "\n" not in line
+    assert line.startswith(f"error: {start}") and line.endswith(end)
+    assert line.count("(step") == 1
+
+
+@pytest.mark.parametrize(
+    "scenario, scheme, kind",
+    [
+        *[("case1_m10", scheme, kind) for scheme in ("euler", "rk4") for kind in ("standard", "nonstandard")],
+        ("case2_tu_m20", "euler", "standard"),
+        ("case2_tu_m20", "rk4", "standard"),
+    ],
+)
+def test_check_concavity_agrees_with_the_proved_premise(scenario, scheme, kind, capsys):
+    # A linear fleet's slot payoff is a concave quadratic (its Hessian is
+    # negative semidefinite), so the premise is proved; the exhaustive check
+    # must agree with it under both derivatives up to m = 20.
+    argv = ["check-concavity", "--scenario", str(SCENARIO_DIR / f"{scenario}.yaml")]
+    assert _run([*argv, "--scheme", scheme, "--derivative", kind]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith(f"concavity inequality ({kind} derivative, ") and first.endswith(": pass")
