@@ -66,8 +66,8 @@ print(" ", np.round(grad.entries, 4))
 print()
 print("=== the concavity inequality validates the certificate premise ===")
 report = check_concavity_inequality(payoff, abar, grad)
-print(f"  holds over all {report.checked} binary points: {report.holds}"
-      f" (worst gap {report.worst_violation:.2e})")
+print(f"  holds over all {1 << m} binary points: {report.holds}"
+      f" (worst gap {report.worst_gap:.2e})")
 
 print()
 print("=== one-shot count-band solver (at most 3 on) ===")

@@ -68,7 +68,6 @@ from .solvers import (
 )
 from .certify import (
     CertifiedSolution,
-    ConcavityReport,
     SetFunctionReport,
     certify,
     check_concavity_inequality,

@@ -21,6 +21,10 @@ distinct ones once, as one stack, and certifies each pick from its row.
 The certificate requires alpha_star to be an exact maximizer of the
 linearized objective over the feasible set (count-band and TU solvers are
 exact; the greedy knapsack solver is not, so the driver does not offer it).
+
+The three exhaustive structure checks return one :class:`SetFunctionReport`
+and raise NumericError, rather than print a verdict, on a NaN payoff (for
+the set functions, on any payoff that is not finite).
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, EnumerationRefusedError
+from .errors import DimensionError, EnumerationRefusedError, NumericError
 from .gradient import Gradient
-from .solvers import binary_chunks, binary_rows
+from .solvers import binary_chunks, binary_rows, solve_bruteforce
 from .system import SystemSpec, Trajectory, as_binary, evaluate_payoff, rowdot
 
 _ZERO_GAIN_TOL = 1e-12
@@ -121,24 +125,28 @@ def certify(
 
 
 @dataclass(frozen=True)
-class ConcavityReport:
+class SetFunctionReport:
+    """Outcome of an exhaustive check over all 2^m binary points (m is the
+    witness's size): whether it holds, the worst gap and its first witness."""
+
     holds: bool
-    worst_alpha: np.ndarray
-    worst_violation: float
-    checked: int
+    worst_gap: float
+    witness: np.ndarray
 
 
 def check_concavity_inequality(
     payoff: Callable[[np.ndarray], np.ndarray], alpha_bar, grad: Gradient
-) -> ConcavityReport:
+) -> SetFunctionReport:
     """Exhaustively verify  g^T (alpha - base) >= J(alpha) - J(base)  over all
     binary vectors, the condition under which the certificate is valid.
 
     ``payoff`` is the discrete payoff J as an objective from decision rows
     (..., m) to payoffs (...), such as ``payoff_function``; it is evaluated
-    at all 2^m binary points, guarded at m = 20.  The tolerance is relative
-    to the payoff magnitude so integration roundoff does not flag spurious
-    violations.
+    at all 2^m binary points, guarded at m = 20.  The worst gap
+    J(alpha) - J(base) - g^T (alpha - base) and its witness are the
+    unconstrained :func:`solve_bruteforce` maximum of that gap.  The check
+    holds when no gap exceeds 1e-7 (1 + |J(alpha)|), relative to the payoff
+    magnitude so integration roundoff does not flag spurious violations.
     """
     m = grad.entries.size
     if m > _CONCAVITY_LIMIT:
@@ -146,41 +154,31 @@ def check_concavity_inequality(
             f"refusing 2^{m} payoff evaluations (limit m = {_CONCAVITY_LIMIT})"
         )
     abar = as_binary(alpha_bar, m)
+    violated = []
 
-    worst_violation = -np.inf
-    worst_alpha = abar
-    holds = True
-    for rows in binary_chunks(m):
+    def gap(rows):
         j_alpha = np.asarray(payoff(rows), dtype=float)
-        violation = (j_alpha - grad.base_payoff) - rowdot(rows - abar, grad.entries)
-        k = int(np.argmax(violation))  # the first worst, in lexicographic order
-        if violation[k] > worst_violation:
-            worst_violation = float(violation[k])
-            worst_alpha = rows[k].copy()
-        holds = holds and not np.any(violation > 1e-7 * (1.0 + np.abs(j_alpha)))
-    return ConcavityReport(
-        holds=holds, worst_alpha=worst_alpha, worst_violation=worst_violation, checked=1 << m
-    )
+        gaps = (j_alpha - grad.base_payoff) - rowdot(rows - abar, grad.entries)
+        violated.append(np.any(gaps > 1e-7 * (1.0 + np.abs(j_alpha))))
+        return gaps
+
+    witness, worst = solve_bruteforce(gap, None, m)
+    return SetFunctionReport(holds=not any(violated), worst_gap=worst, witness=witness)
 
 
 def _payoff_table(payoff: Callable[[np.ndarray], np.ndarray], m: int) -> np.ndarray:
     """Payoff at every subset, indexed by the little-endian bit code (bit j
-    of the code is entry j): the lexicographic rows read column-reversed."""
+    of the code is entry j): the lexicographic rows read column-reversed.
+    NumericError when a payoff is not finite, which no gap could compare."""
     if m > _SET_FUNCTION_LIMIT:
         raise EnumerationRefusedError(
             f"refusing 2^{m} payoff evaluations (limit m = {_SET_FUNCTION_LIMIT})"
         )
     little = (np.ascontiguousarray(rows[:, ::-1]) for rows in binary_chunks(m))
-    return np.concatenate([np.asarray(payoff(rows), dtype=float) for rows in little])
-
-
-@dataclass(frozen=True)
-class SetFunctionReport:
-    """Outcome of an exhaustive set-function check with its worst witness."""
-
-    holds: bool
-    worst_gap: float
-    witness: np.ndarray
+    table = np.concatenate([np.asarray(payoff(rows), dtype=float) for rows in little])
+    if not np.all(np.isfinite(table)):
+        raise NumericError("the payoff is not finite at some binary vector")
+    return table
 
 
 def _set_function_report(payoff: Callable[[np.ndarray], np.ndarray], m: int, scan):

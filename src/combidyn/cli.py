@@ -12,14 +12,16 @@ report:
 * check-submodular     exhaustive diminishing-returns check (first slot)
 
 Exit codes: 0 ok, 2 parse/configuration/output error, 3 infeasible, 4
-numeric failure.  Floats print with 9 significant digits; outputs are byte-identical
-under a fixed seed and configuration.
+numeric failure.  An error raised in slot k's work ends in ``(step k)``; the
+first-slot commands run as step 1.  Floats print with 9 significant digits;
+outputs are byte-identical under a fixed seed and configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .errors import (
     EnumerationRefusedError,
     InfeasibleError,
     ScenarioError,
+    named_step,
 )
 from .gradient import derivative, linearize
 from .refrigeration import (
@@ -160,11 +163,13 @@ def _cmd_oracle(config: argparse.Namespace, scenario: Scenario):
     return lines
 
 
+@contextmanager
 def _first_slot(config: argparse.Namespace, scenario: Scenario):
+    """Slot 1's (spec, constraints, count band, grid) for a block run as step
+    1; a bad ``--grid`` fails ahead of the step, as a configuration error."""
     grid = TimeGrid(scenario.step_hours, config.grid)
-    spec = step_system(scenario, scenario.params.x0)
-    con, band = step_constraints(scenario, 1)
-    return spec, con, band, grid
+    with named_step(1):
+        yield (step_system(scenario, scenario.params.x0), *step_constraints(scenario, 1), grid)
 
 
 def _single_kind(config: argparse.Namespace) -> str:
@@ -174,14 +179,14 @@ def _single_kind(config: argparse.Namespace) -> str:
 
 def _sampled_picks(config: argparse.Namespace, scenario: Scenario, kinds):
     """Certified first-slot picks at sampled linearization points: all-zeros
-    first, then ``samples - 1`` uniform draws.  Yields (index, base, picks)
+    first, then ``samples - 1`` uniform draws.  A list of (index, base, picks)
     with picks[kind] a :class:`SlotPick`."""
-    spec, con, band, grid = _first_slot(config, scenario)
     m = scenario.params.m
     rng = np.random.default_rng(config.seed)
     bases = [np.zeros(m)] + [rng.integers(0, 2, m).astype(float) for _ in range(config.samples - 1)]
-    for idx, abar in enumerate(bases):
-        yield idx, abar, slot_picks(spec, abar, con, band, kinds, config.solver, grid, config.scheme)
+    with _first_slot(config, scenario) as (spec, con, band, grid):
+        return [(idx, abar, slot_picks(spec, abar, con, band, kinds, config.solver, grid, config.scheme))
+                for idx, abar in enumerate(bases)]
 
 
 def _cmd_sweep(config: argparse.Namespace, scenario: Scenario):
@@ -233,26 +238,27 @@ def _cmd_compare(config: argparse.Namespace, scenario: Scenario):
 
 
 def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
-    spec, _con, _band, grid = _first_slot(config, scenario)
     abar = np.zeros(scenario.params.m)
-    lin = linearize(spec, abar, grid, config.scheme)
-    payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, lin.forward)
-    grad = derivative(lin, _single_kind(config))
-    report = check_concavity_inequality(payoff_fn, abar, grad)
+    with _first_slot(config, scenario) as (spec, _con, _band, grid):
+        lin = linearize(spec, abar, grid, config.scheme)
+        payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, lin.forward)
+        grad = derivative(lin, _single_kind(config))
+        report = check_concavity_inequality(payoff_fn, abar, grad)
     verdict = "pass" if report.holds else "FAIL"
     lines = [
-        f"concavity inequality ({grad.kind} derivative, {report.checked} points): {verdict}",
-        f"worst violator {_bits(report.worst_alpha)} with gap {_fnum(report.worst_violation)}",
+        f"concavity inequality ({grad.kind} derivative, {1 << abar.size} points): {verdict}",
+        f"worst violator {_bits(report.witness)} with gap {_fnum(report.worst_gap)}",
     ]
     return lines
 
 
 def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
-    spec, _con, _band, grid = _first_slot(config, scenario)
-    base_path = integrate(spec, np.zeros(scenario.params.m), grid, config.scheme)
-    payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, base_path)
-    sub = submodularity_report(payoff_fn, scenario.params.m)
-    mono = monotonicity_report(payoff_fn, scenario.params.m)
+    m = scenario.params.m
+    with _first_slot(config, scenario) as (spec, _con, _band, grid):
+        base_path = integrate(spec, np.zeros(m), grid, config.scheme)
+        payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, base_path)
+        sub = submodularity_report(payoff_fn, m)
+        mono = monotonicity_report(payoff_fn, m)
     lines = [
         f"submodularity: {'pass' if sub.holds else 'FAIL'} "
         f"(worst second difference {_fnum(sub.worst_gap)} at {_bits(sub.witness)})",

@@ -1,14 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that names
+the slot an error was raised in (:func:`named_step`)."""
+
+from contextlib import contextmanager
 
 
 class CombidynError(Exception):
-    """Base class for all package errors.  One raised inside a receding-horizon
-    slot carries the slot's 1-based ``step``, which its message names last."""
+    """Base class for all package errors.  One raised inside a slot's work
+    carries the slot's 1-based ``step``, which its message names last."""
 
     step = None
 
     def __str__(self):
         return super().__str__() + ("" if self.step is None else f" (step {self.step})")
+
+
+@contextmanager
+def named_step(k: int):
+    """A block run as slot k: a package error that leaves it naming no step
+    leaves it naming step k."""
+    try:
+        yield
+    except CombidynError as exc:
+        if exc.step is None:
+            exc.step = k
+        raise
 
 
 class DimensionError(CombidynError):

@@ -27,17 +27,19 @@ import numpy as np
 
 from .certify import CertifiedSolution, certify
 from .errors import (
-    CombidynError,
     ConstraintError,
     DimensionError,
     EnumerationRefusedError,
     InfeasibleError,
+    named_step,
 )
 from .gradient import Gradient, derivative, linearize
 from .solvers import (
+    L0Band,
     TuRows,
     feasible_count,
     integer_array,
+    integer_rows,
     is_feasible,
     solve_bruteforce,
     solve_l0,
@@ -268,14 +270,12 @@ class TransientConfig:
     xi: np.ndarray
     members: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(int(i) for i in self.members))
-
 
 @dataclass(frozen=True)
 class Scenario:
     """A fleet, a slot schedule, a constraint case, and an optional transient
-    shutdown configuration."""
+    shutdown configuration.  A power band is encoded as a count band, which
+    needs uniform, positive unit power draws."""
 
     params: EtpParams
     step_minutes: float
@@ -294,6 +294,11 @@ class Scenario:
         if isinstance(self.case, TargetBandCase):
             if self.case.y_lo.size != K:
                 raise DimensionError("target band length must equal num_steps")
+            c = self.params.c
+            if not np.allclose(c, c[0]):
+                raise ConstraintError("the target-band encodings need uniform unit power draws")
+            if c[0] <= 0:
+                raise ConstraintError("unit power draw must be positive for a power band")
         elif isinstance(self.case, TuCase):
             if self.case.rows.shape[1] != self.params.m:
                 raise DimensionError("operation rows must have one column per unit")
@@ -566,27 +571,17 @@ def transient_members(m: int) -> tuple:
 
 
 def step_constraints(scenario: Scenario, k: int):
-    """Constraint set for 1-based step k, as TU rows plus the count-band view
-    (lo, hi) when the case is a uniform-power band."""
-    params = scenario.params
-    m = params.m
+    """Constraint set for 1-based step k as TU rows, plus the count band they
+    encode when the case is a power band (None for operation rows)."""
     if isinstance(scenario.case, TargetBandCase):
-        if not np.allclose(params.c, params.c[0]):
-            raise ConstraintError(
-                "the target-band encodings need uniform unit power draws"
-            )
-        unit = params.c[0]
-        if unit <= 0:
-            raise ConstraintError("unit power draw must be positive for a power band")
+        m = scenario.params.m
+        unit = scenario.params.c[0]  # uniform and positive, checked by the Scenario
         k_hi = min(m, math.floor(scenario.case.y_hi[k - 1] / unit + 1e-9))
         k_lo = max(0, math.ceil(scenario.case.y_lo[k - 1] / unit - 1e-9))
         if k_lo > k_hi:
-            exc = InfeasibleError("power band admits no ON-count")
-            exc.step = k  # the first-slot commands call this outside the driver
-            raise exc
-        rows = np.vstack([np.ones(m), -np.ones(m)])
-        rhs = np.array([float(k_hi), float(-k_lo)])
-        return TuRows(rows, rhs), (k_lo, k_hi)
+            raise InfeasibleError("power band admits no ON-count")
+        band = L0Band(k_lo, k_hi)
+        return TuRows(*integer_rows(band, m)), band
     rhs = scenario.case.rhs.copy()
     rhs[-1] = scenario.case.z_bar[k - 1]
     return TuRows(scenario.case.rows, rhs), None
@@ -607,7 +602,7 @@ def solve_linearized(grad: Gradient, con: TuRows, band, solver: str):
     if solver == "l0":
         if band is None:
             raise ConstraintError("the count-band solver applies to target-band cases only")
-        return solve_l0(grad, band[0], band[1])
+        return solve_l0(grad, band.k_min, band.k_max)
     raise ConstraintError(f"unknown solver {solver!r}")
 
 
@@ -713,7 +708,7 @@ def run_receding_horizon(
 
     for k in range(1, scenario.num_steps + 1):
         abar = np.zeros(m)  # a fresh base point: the slot may apply it as its decision
-        try:
+        with named_step(k):
             spec = step_system(scenario, x)
             con, band = step_constraints(scenario, k)
             if solver == "oracle":
@@ -739,10 +734,6 @@ def run_receding_horizon(
                 oracle_payoff, gain_opt = best, best - base_payoff
                 small = gain_opt <= 1e-12 * (1 + abs(best))
                 oracle_ratio = 1.0 if small else (applied_payoff - base_payoff) / gain_opt
-        except CombidynError as exc:
-            if exc.step is None:
-                exc.step = k
-            raise
 
         x = end
         results.append(

@@ -8,7 +8,8 @@ field path and the line it came from, and unknown keys are rejected at every
 level.
 
 Unit indices in files (the transient ``members`` list) are 1-based, matching
-the unit numbering in reports; they are converted at this boundary.
+the unit numbering in reports; they are converted at this boundary.  The
+parser and the writer walk one table of the fleet's vectors, in file order.
 
 Top-level layout::
 
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import ConstraintError, DimensionError, ScenarioError
+from .errors import CombidynError, ConstraintError, DimensionError, ScenarioError
 from .refrigeration import (
     EtpParams,
     Scenario,
@@ -42,6 +43,7 @@ from .refrigeration import (
 )
 
 SCHEMA_VERSION = 1
+_FLEET_VECTORS = ("b", "theta_ambient", "theta_lo", "theta_hi", "delta", "c", "x0")
 # libyaml composes the same node graph, marks included, an order of magnitude faster.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -165,18 +167,14 @@ def parse_scenario(path: str) -> Scenario:
     if m < 1:
         raise fleet_node.fail("m must be positive")
     a = _matrix(_take(fleet, "a", fleet_node), m, m)
-    b = _vector(_take(fleet, "b", fleet_node), m, "b")
-    theta_ambient = _vector(_take(fleet, "theta_ambient", fleet_node), m, "theta_ambient")
-    theta_lo_node = _take(fleet, "theta_lo", fleet_node)
-    theta_lo = _vector(theta_lo_node, m, "theta_lo")
-    theta_hi = _vector(_take(fleet, "theta_hi", fleet_node), m, "theta_hi")
-    delta = _vector(_take(fleet, "delta", fleet_node), m, "delta")
-    c = _vector(_take(fleet, "c", fleet_node), m, "c")
-    x0 = _vector(_take(fleet, "x0", fleet_node), m, "x0")
+    nodes, vectors = {}, {}
+    for name in _FLEET_VECTORS:
+        nodes[name] = _take(fleet, name, fleet_node)
+        vectors[name] = _vector(nodes[name], m, name)
     _reject_unknown(fleet)
 
-    if np.any(theta_lo >= theta_hi):
-        raise theta_lo_node.fail("comfort band needs theta_lo < theta_hi entrywise")
+    if np.any(vectors["theta_lo"] >= vectors["theta_hi"]):
+        raise nodes["theta_lo"].fail("comfort band needs theta_lo < theta_hi entrywise")
 
     schedule_node = _take(top, "schedule", root)
     schedule = schedule_node.mapping()
@@ -236,30 +234,15 @@ def parse_scenario(path: str) -> Scenario:
     _reject_unknown(top)
 
     try:
-        params = EtpParams(
-            m=m,
-            a=a,
-            b=b,
-            theta_ambient=theta_ambient,
-            theta_lo=theta_lo,
-            theta_hi=theta_hi,
-            delta=delta,
-            c=c,
-            x0=x0,
-        )
         return Scenario(
-            params=params,
+            params=EtpParams(m=m, a=a, **vectors),
             step_minutes=step_minutes,
             num_steps=num_steps,
             case=case,
             transient=transient,
         )
-    except Exception as exc:
+    except CombidynError as exc:
         raise ScenarioError("scenario", str(exc), root.line) from exc
-
-
-def _fmt(x: float) -> float:
-    return float(x)
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:
@@ -270,38 +253,32 @@ def write_scenario(scenario: Scenario, path: str) -> None:
         "schema_version": SCHEMA_VERSION,
         "fleet": {
             "m": p.m,
-            "a": {"rows": p.m, "cols": p.m, "data": [_fmt(v) for v in p.a.ravel()]},
-            "b": [_fmt(v) for v in p.b],
-            "theta_ambient": [_fmt(v) for v in p.theta_ambient],
-            "theta_lo": [_fmt(v) for v in p.theta_lo],
-            "theta_hi": [_fmt(v) for v in p.theta_hi],
-            "delta": [_fmt(v) for v in p.delta],
-            "c": [_fmt(v) for v in p.c],
-            "x0": [_fmt(v) for v in p.x0],
+            "a": {"rows": p.m, "cols": p.m, "data": p.a.ravel().tolist()},
+            **{name: getattr(p, name).tolist() for name in _FLEET_VECTORS},
         },
         "schedule": {
-            "step_minutes": _fmt(scenario.step_minutes),
+            "step_minutes": float(scenario.step_minutes),
             "num_steps": scenario.num_steps,
         },
     }
     if isinstance(scenario.case, TargetBandCase):
         doc["case"] = {
             "kind": "target_band",
-            "y_lo": [_fmt(v) for v in scenario.case.y_lo],
-            "y_hi": [_fmt(v) for v in scenario.case.y_hi],
+            "y_lo": scenario.case.y_lo.tolist(),
+            "y_hi": scenario.case.y_hi.tolist(),
         }
     else:
         Q = scenario.case.rows
         doc["case"] = {
             "kind": "tu",
-            "Q": {"rows": Q.shape[0], "cols": Q.shape[1], "data": [_fmt(v) for v in Q.ravel()]},
-            "r": [_fmt(v) for v in scenario.case.rhs],
-            "z_bar": [_fmt(v) for v in scenario.case.z_bar],
+            "Q": {"rows": Q.shape[0], "cols": Q.shape[1], "data": Q.ravel().tolist()},
+            "r": scenario.case.rhs.tolist(),
+            "z_bar": scenario.case.z_bar.tolist(),
         }
     if scenario.transient is not None:
         doc["transient"] = {
-            "xi": [_fmt(v) for v in np.asarray(scenario.transient.xi, dtype=float)],
-            "members": [int(i) + 1 for i in scenario.transient.members],
+            "xi": scenario.transient.xi.tolist(),
+            "members": [i + 1 for i in scenario.transient.members],
         }
     class _FlowListDumper(yaml.SafeDumper):
         """Keep scalar lists on one line so matrices stay hand-editable."""

@@ -267,7 +267,7 @@ def binary_rows(start: int, stop: int, m: int) -> np.ndarray:
     return ((codes >> shifts) & dtype.type(1)).astype(float)
 
 
-def _integer_rows(constraints: Optional[ConstraintSet], m: int):
+def integer_rows(constraints: Optional[ConstraintSet], m: int):
     """``(rows, rhs)`` when feasibility is ``rows @ alpha <= rhs`` with integer
     rows and right-hand side, else None.  A count band is the rows [1; -1]."""
     if isinstance(constraints, TuRows):
@@ -349,7 +349,7 @@ def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
         return
     high = max(m - _SUFFIX_BITS, 0)
     table = _suffix_table(m)
-    integer = _integer_rows(constraints, m)
+    integer = integer_rows(constraints, m)
     if integer is None:
         buffer = table.copy()  # an unconstrained block differs from it in the prefix only
     else:

@@ -3,6 +3,7 @@ import pytest
 
 from combidyn import (
     DimensionError,
+    NumericError,
     Gradient,
     Knapsack,
     L0Band,
@@ -116,7 +117,7 @@ def test_concavity_check_passes_on_concave_instance():
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
     assert report.holds
-    assert report.checked == 16
+    assert 1 << report.witness.size == 16
 
 
 def test_concavity_check_fails_on_convex_square_payoff():
@@ -126,7 +127,7 @@ def test_concavity_check_fails_on_convex_square_payoff():
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
     assert not report.holds
-    assert report.worst_violation > 1e-3
+    assert report.worst_gap > 1e-3
 
 
 def test_concavity_check_single_bit():
@@ -137,7 +138,7 @@ def test_concavity_check_single_bit():
     report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
     # affine-in-decision scalar system: linearization is exact up to
     # integration curvature in the decision, which is concave here
-    assert report.checked == 2
+    assert 1 << report.witness.size == 2
     assert report.holds
 
 
@@ -253,9 +254,38 @@ def test_concavity_worst_alpha_is_first_in_lexicographic_order():
     # lexicographic (entry 0 most significant) order.
     grad = Gradient("standard", np.zeros(3), np.zeros(3), 0.0)
     report = check_concavity_inequality(lambda a: np.abs(a[..., 0] - a[..., 2]), np.zeros(3), grad)
-    assert not report.holds and report.checked == 8
-    assert report.worst_violation == 1.0
-    assert report.worst_alpha.tolist() == [0, 0, 1]
+    assert not report.holds and 1 << report.witness.size == 8
+    assert report.worst_gap == 1.0
+    assert report.witness.tolist() == [0, 0, 1]
+
+
+
+def _all_on_is(value):
+    """A 3-bit payoff, the ON count, except ``value`` at the all-on point."""
+    return lambda a: np.where(np.all(a == 1.0, axis=-1), value, np.sum(a, axis=-1))
+
+
+_ZERO_GRAD = Gradient("standard", np.zeros(3), np.zeros(3), 0.0)
+_CHECKS = {
+    "concavity": lambda payoff: check_concavity_inequality(payoff, np.zeros(3), _ZERO_GRAD),
+    "submodularity": lambda payoff: submodularity_report(payoff, 3),
+    "monotonicity": lambda payoff: monotonicity_report(payoff, 3),
+}
+
+
+@pytest.mark.parametrize("check", _CHECKS.values(), ids=_CHECKS.keys())
+def test_structure_checks_raise_on_a_nan_payoff(check):
+    # A NaN compares false with every tolerance, so it would pass as a verdict.
+    with pytest.raises(NumericError):
+        check(_all_on_is(np.nan))
+
+
+@pytest.mark.parametrize("report", [submodularity_report, monotonicity_report])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_set_function_reports_raise_on_an_infinite_payoff(report, value):
+    # Differences of infinite payoffs are NaN or infinite: no gap to report.
+    with pytest.raises(NumericError):
+        report(_all_on_is(value), 3)
 
 
 def test_applied_decision_falls_back_to_pick_at_infeasible_base():

@@ -421,6 +421,14 @@ def _diverging_scenario(path):
             ["certify", "--solver", "l0", "--grid", "201"],
             "IntegrationDivergedError: non-finite state at knot 106 (step 1)",
         ),
+        (
+            ["check-submodular", "--scheme", "euler", "--grid", "51"],
+            "NumericError: the payoff is not finite at some binary vector (step 1)",
+        ),
+        (
+            ["check-concavity", "--scheme", "euler", "--grid", "51"],
+            "AdjointDivergedError: non-finite costate at knot 10 (step 1)",
+        ),
     ],
 )
 def test_numeric_failure_prints_only_the_error_line(tmp_path, options, message):
@@ -465,6 +473,10 @@ def _odd_cycle_rows():
             "ConstraintError: ",
             "target-band cases only (step 1)",
         ),
+        *[
+            (_odd_cycle_rows, [command, "--grid", "51", "--samples", "2"], 4, "TuViolationError: ", "not TU (step 1)")
+            for command in ("sweep-linearization", "compare-derivatives")
+        ],
     ],
 )
 def test_slot_errors_name_their_step_once(tmp_path, capsys, scenario, options, code, start, end):
@@ -477,6 +489,23 @@ def test_slot_errors_name_their_step_once(tmp_path, capsys, scenario, options, c
     assert out == "" and "\n" not in line
     assert line.startswith(f"error: {start}") and line.endswith(end)
     assert line.count("(step") == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["sweep-linearization", "compare-derivatives", "check-concavity", "check-submodular"]
+)
+def test_first_slot_commands_name_no_step_outside_the_slot(command, small_scenario, tmp_path, capsys):
+    # Parsing the scenario and building the grid come before slot 1's work.
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("schema_version: 1\nfleet: {m: oops}\n")
+    for argv, start in (
+        (["--scenario", str(bad)], "error: ScenarioError: "),
+        (["--scenario", small_scenario, "--grid", "1"], "error: DimensionError: "),
+    ):
+        assert _run([command, *argv, "--samples", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(start) and err.count("\n") == 1
+        assert "(step" not in err
 
 
 @pytest.mark.parametrize(

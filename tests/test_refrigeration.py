@@ -417,6 +417,23 @@ def test_scenario_rejects_duplicate_transient_members():
         dataclasses.replace(sc, transient=TransientConfig(sc.transient.xi, (10,)))
 
 
+
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        (np.array([10.0, 10.0, 10.0, 12.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0]), "uniform unit power draws"),
+        (np.zeros(10), "must be positive"),
+    ],
+    ids=["unit_4_draws_12_kw", "no_draw"],
+)
+def test_power_band_scenario_needs_uniform_positive_power_draws(c, message):
+    # The count-band encoding of a power band is checked once, when the
+    # scenario is built, not in every slot.
+    sc = default_scenario(10, seed=2, num_steps=2)
+    with pytest.raises(ConstraintError, match=message):
+        dataclasses.replace(sc, params=dataclasses.replace(sc.params, c=c))
+
+
 def _rebind(monkeypatch, fn, replacement):
     """Replace ``fn`` under every name that holds it in the package modules,
     so calls through any module-level binding reach the replacement."""

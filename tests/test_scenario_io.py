@@ -210,3 +210,30 @@ def test_short_slots_rejected(tmp_path):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(_write(tmp_path, bad))
     assert "10" in str(err.value)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_scenarios_write_back_byte_for_byte(tmp_path, path):
+    # Pins the file layout: the field order and the number format of the writer.
+    out = tmp_path / path.name
+    write_scenario(parse_scenario(str(path)), str(out))
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_power_band_over_unequal_power_draws_is_refused_at_parse(tmp_path, capsys):
+    # Unit 4 draws 12 kW: the count-band encoding of a power band does not
+    # hold, so the file is refused whole, naming no step, whatever the command.
+    from combidyn.cli import main
+
+    path = tmp_path / "unequal.yaml"
+    write_scenario(default_scenario(10, 2, num_steps=2), str(path))
+    text = path.read_text()
+    assert text.count("  c: [10.0, 10.0, 10.0, 10.0, ") == 1
+    path.write_text(text.replace("  c: [10.0, 10.0, 10.0, 10.0, ", "  c: [10.0, 10.0, 10.0, 12.0, "))
+    message = "scenario (line 1): the target-band encodings need uniform unit power draws"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(str(path))
+    assert str(err.value) == message
+    for command in ("optimize", "check-submodular"):
+        assert main([command, "--scenario", str(path), "--grid", "51"]) == 2
+        assert capsys.readouterr().err == f"error: ScenarioError: {message}\n"
