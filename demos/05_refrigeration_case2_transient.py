@@ -46,7 +46,7 @@ results = run_receding_horizon(
     with_oracle=True,
 )
 
-# Each slot's exact payoff: the linear fleet's quadratic part is probed in
+# Each slot's exact payoff: the fleet's quadratic part is probed in
 # the first slot and completed per slot from its all-off path.
 grid = TimeGrid(scenario.step_hours, 201)
 x, fleet = scenario.params.x0, None

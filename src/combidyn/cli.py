@@ -306,7 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--derivative", default="standard", choices=("standard", "nonstandard", "both")
         )
-        p.add_argument("--solver", default="tu", choices=("l0", "tu", "oracle"))
+        # The sampled commands certify linearized picks: no oracle route.
+        sampled = name in ("sweep-linearization", "compare-derivatives")
+        p.add_argument("--solver", default="tu", choices=("l0", "tu") if sampled else ("l0", "tu", "oracle"))
         p.add_argument("--grid", type=int, default=201, help="time points per slot")
         p.add_argument("--scheme", default="euler", choices=("euler", "rk4"))
         p.add_argument("--seed", type=nonnegative_int, default=0)

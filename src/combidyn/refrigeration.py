@@ -29,7 +29,6 @@ from .certify import CertifiedSolution, certify
 from .errors import (
     ConstraintError,
     DimensionError,
-    EnumerationRefusedError,
     InfeasibleError,
     named_step,
 )
@@ -37,7 +36,6 @@ from .gradient import Gradient, derivative, linearize
 from .solvers import (
     L0Band,
     TuRows,
-    feasible_count,
     integer_array,
     integer_rows,
     is_feasible,
@@ -53,7 +51,6 @@ from .system import (
     integrate,
     evaluate_payoff,
     matvec,
-    payoff_function,
     rowdot,
     trapezoid_weights,
 )
@@ -338,8 +335,9 @@ class StepResult:
 
 @dataclass(frozen=True)
 class QuadraticPayoff:
-    """Exact quadratic form of the discrete slot payoff in the decision
-    vector, valid for linear fleet dynamics (see affine_state_model)."""
+    """Exact quadratic form of the discrete slot payoff at binary decision
+    vectors, valid when the field is linear in the state and each decision
+    entry enters through one term of its own (see affine_state_model)."""
 
     constant: float
     linear: np.ndarray
@@ -355,7 +353,13 @@ class QuadraticPayoff:
 
 @dataclass(frozen=True)
 class FleetQuadratic:
-    """The part of a linear fleet's quadratic slot payoff that no slot changes.
+    """The part of a fleet's quadratic slot payoff that no slot changes.
+
+    Both fleets have one: their fields are linear in the state and each
+    decision entry enters through one term of its own (``b_i a_i``, or
+    ``b_i exp(-xi_i (1 - a_i) t)`` for a transient member), so the path is
+    exactly affine at binary points and the band penalty makes the payoff an
+    exact quadratic there.
 
     ``sens`` holds the (N, n, m) sensitivity columns of the discrete path
     (see affine_state_model) and ``quadratic`` the Hessian
@@ -397,11 +401,13 @@ class FleetQuadratic:
 def quadratic_payoff_model(
     params: EtpParams, horizon: float, grid: TimeGrid, scheme: str = "euler"
 ) -> QuadraticPayoff:
-    """Reduce the discrete slot payoff of a linear fleet to a quadratic form.
+    """Reduce the discrete slot payoff of the fleet without transient members
+    to a quadratic form: the one-shot reference for :func:`slot_payoff`.
 
-    The discrete trajectory of the linear field is exactly affine in the
-    decision and the band penalty is quadratic in temperature, so the
-    trapezoid payoff is an exact quadratic in the decision.  Produces the
+    The field is linear in the state and each decision entry enters through
+    one term of its own, so the discrete trajectory is exactly affine in the
+    decision and the band penalty is quadratic in temperature; the trapezoid
+    payoff is an exact quadratic in the decision.  Produces the
     same numbers as integrate + evaluate_payoff on the same grid and scheme,
     at a tiny fraction of the cost when sweeping many decisions.  One probe
     (affine_state_model) feeds both parts, :class:`FleetQuadratic` and its
@@ -648,37 +654,15 @@ def slot_picks(spec: SystemSpec, alpha_bar, con: TuRows, band, kinds, solver, gr
 
 
 def slot_payoff(scenario: Scenario, spec: SystemSpec, grid, scheme, base_path, fleet=None):
-    """(objective, fleet): the exact discrete payoff of one slot over decision
-    rows (..., m).  For a linear fleet it is ``fleet.model`` on the slot's
-    all-off ``base_path``, ``fleet`` probed from ``spec`` when None and kept
-    for later slots; any other fleet integrates the rows, with fleet None."""
-    if scenario.transient is not None:
-        return payoff_function(spec, grid, scheme), None
+    """(objective, fleet): the exact discrete payoff of one slot over binary
+    decision rows (..., m), ``fleet.model`` on the slot's all-off
+    ``base_path``.  Both fleets qualify: the field is linear in the state and
+    each decision entry enters through one term of its own, so the path is
+    exactly affine at binary points.  ``fleet`` is probed from ``spec`` when
+    None and kept for later slots."""
     if fleet is None:
         fleet = FleetQuadratic(scenario.params, grid, affine_state_model(spec, grid, scheme)[1])
     return fleet.model(base_path.values).value, fleet
-
-
-# Path entries (feasible rows x knots x states) that the exhaustive oracle may
-# integrate for one slot of a fleet without a quadratic payoff model: 512 MB.
-_ORACLE_PATH_BUDGET = 1 << 26
-
-
-def _slot_optimum(scenario: Scenario, spec: SystemSpec, con: TuRows, grid, scheme, base_path, fleet):
-    """The exhaustive optimum of :func:`slot_payoff` as (alpha, payoff, fleet).
-    Without a quadratic model every feasible row is integrated, so a
-    non-linear fleet whose feasible rows x knots x states exceed
-    _ORACLE_PATH_BUDGET is refused before any row is integrated."""
-    m = spec.decision_dim
-    if scenario.transient is not None:
-        rows = feasible_count(m, con)
-        if rows * grid.num_points * spec.state_dim > _ORACLE_PATH_BUDGET:
-            raise EnumerationRefusedError(
-                f"refusing the exhaustive oracle: {rows} feasible rows x {grid.num_points} "
-                f"knots x {spec.state_dim} states exceed {_ORACLE_PATH_BUDGET} path entries"
-            )
-    objective, fleet = slot_payoff(scenario, spec, grid, scheme, base_path, fleet)
-    return (*solve_bruteforce(objective, con, m), fleet)
 
 
 def run_receding_horizon(
@@ -697,13 +681,17 @@ def run_receding_horizon(
     ``solver="oracle"`` applies the exact per-slot optimum instead.
     ``with_oracle=True`` additionally reports the exact optimum and the
     achieved optimality ratio along the applied path.  Both oracle routes
-    take one exhaustive step over :func:`slot_payoff`, which probes a linear
-    fleet once per horizon.  A package error raised in slot k carries step k.
+    take one exhaustive step over :func:`slot_payoff`, which probes the fleet
+    once per horizon; its model is exact at binary points for both fleets
+    (linear in the state, one term per decision entry).  A package error
+    raised in slot k carries step k.
     """
     m = scenario.params.m
     grid = TimeGrid(scenario.step_hours, grid_points)
     x = scenario.params.x0.copy()
-    fleet = None  # a linear fleet's quadratic part, from the first oracle step
+    # The payoff's quadratic part from the first oracle step: exact at binary
+    # points, as the field is linear in the state with one term per decision.
+    fleet = None
     results = []
 
     for k in range(1, scenario.num_steps + 1):
@@ -722,7 +710,8 @@ def run_receding_horizon(
                 base_payoff = cert.base_payoff
                 rho, rho_post, optimal = cert.rho, cert.rho_post, cert.optimal
             if with_oracle or solver == "oracle":
-                optimum, best, fleet = _slot_optimum(scenario, spec, con, grid, scheme, base_path, fleet)
+                objective, fleet = slot_payoff(scenario, spec, grid, scheme, base_path, fleet)
+                optimum, best = solve_bruteforce(objective, con, m)
             if solver == "oracle":
                 base_payoff = evaluate_payoff(spec, base_path, abar)
                 applied, applied_payoff = optimum, best

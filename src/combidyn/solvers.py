@@ -372,18 +372,6 @@ def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
             yield block
 
 
-def _check_enumerable(m: int) -> None:
-    if m > _BRUTE_FORCE_LIMIT:
-        raise EnumerationRefusedError(f"refusing exhaustive search for m = {m} > {_BRUTE_FORCE_LIMIT}")
-
-
-def feasible_count(m: int, constraints: Optional[ConstraintSet]) -> int:
-    """The number of feasible binary m-vectors, summed over the blocks of
-    :func:`binary_chunks`; EnumerationRefusedError above m = 24."""
-    _check_enumerable(m)
-    return sum(block.shape[0] for block in binary_chunks(m, constraints))
-
-
 def solve_bruteforce(
     objective: Callable[[np.ndarray], np.ndarray],
     constraints: Optional[ConstraintSet],
@@ -401,7 +389,8 @@ def solve_bruteforce(
     objective is NaN or no feasible value is above -inf, and
     EnumerationRefusedError above m = 24.
     """
-    _check_enumerable(m)
+    if m > _BRUTE_FORCE_LIMIT:
+        raise EnumerationRefusedError(f"refusing exhaustive search for m = {m} > {_BRUTE_FORCE_LIMIT}")
     best_val = -np.inf
     best_alpha = None
     feasible = False

@@ -300,15 +300,17 @@ def affine_state_model(spec: SystemSpec, grid: TimeGrid, scheme: str = "euler"):
 
     Returns (base, sens) with base the (N, n) trajectory under the all-zeros
     decision and sens the (N, n, m) sensitivity columns, so that the stored
-    path for any decision vector a is  base + sens @ a.  This is *exact*
-    (up to roundoff) whenever the vector field is jointly affine in state and
-    decision, because every explicit fixed-step update is then an affine map;
-    it costs one integration of the m + 1 rows zero, e_1, ..., e_m and lets
-    exhaustive oracles evaluate the discrete payoff without one integration
-    per binary point.  For such a field sens does not depend on the initial
-    state, up to roundoff, so one probe serves every slot of a receding
-    horizon; base is the all-off path that :func:`integrate` gives for the
-    zero decision, bit for bit.
+    path for any binary decision vector a is  base + sens @ a.  This is
+    *exact* (up to roundoff) whenever the field is linear in the state and
+    each decision entry enters through one term of its own, such as
+    g_i(t) a_i or exp(-xi_i (1 - a_i) t): every such term is affine in its
+    bit at binary points, so every explicit fixed-step update is then an
+    affine map there.  It costs one integration of the m + 1 rows zero,
+    e_1, ..., e_m and lets exhaustive oracles evaluate the discrete payoff
+    without one integration per binary point.  For such a field sens does
+    not depend on the initial state, up to roundoff, so one probe serves
+    every slot of a receding horizon; base is the all-off path that
+    :func:`integrate` gives for the zero decision, bit for bit.
     """
     m = spec.decision_dim
     paths = integrate(spec, np.eye(m + 1, m, -1), grid, scheme).values

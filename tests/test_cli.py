@@ -363,12 +363,24 @@ def test_output_in_missing_directory_exit_code(small_scenario, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", ["oracle", "optimize"])
-def test_oracle_refuses_a_costly_non_linear_slot(command, tmp_path, monkeypatch, capsys):
-    # A transient fleet has no quadratic model, so the oracle would integrate
-    # every feasible row.  Above the path budget it refuses before any
-    # integration, with the configuration exit code.
-    from combidyn import refrigeration
+def test_transient_oracle_integrates_no_row(command, tmp_path, monkeypatch, capsys):
+    # A transient fleet's slot payoff is the same exact quadratic at binary
+    # points as the linear fleet's: the only stack integrated is the one
+    # probe of m + 1 rows, and no enumerated row is integrated.
+    from combidyn import gradient, refrigeration, system
 
+    def no_integration(*_args):
+        raise AssertionError("the oracle integrated the enumerated rows")
+
+    rows = []
+
+    def counted(spec, alpha, *args, _integrate=system.integrate):
+        rows.append(np.atleast_2d(alpha).shape[0])
+        return _integrate(spec, alpha, *args)
+
+    monkeypatch.setattr(system, "payoff_function", no_integration)
+    for module in (system, gradient, refrigeration):
+        monkeypatch.setattr(module, "integrate", counted)
     sc = default_scenario(10, seed=2, num_steps=2, transient=True)
     path = tmp_path / "transient10.yaml"
     write_scenario(sc, str(path))
@@ -376,29 +388,22 @@ def test_oracle_refuses_a_costly_non_linear_slot(command, tmp_path, monkeypatch,
     if command == "optimize":
         args += ["--solver", "oracle"]
     assert _run(args) == 0
-    capsys.readouterr()
-
-    def no_integration(*_args):
-        raise AssertionError("the refused oracle integrated a row")
-
-    monkeypatch.setattr(refrigeration, "_ORACLE_PATH_BUDGET", 21 * 10)
-    monkeypatch.setattr(refrigeration, "payoff_function", no_integration)
-    assert _run(args) == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: EnumerationRefusedError: refusing the exhaustive oracle: ")
-    assert " x 21 knots x 10 states exceed 210 path entries (step 1)" in err
+    assert out and err == ""
+    assert max(rows) == 11 and rows.count(11) == 1
 
 
-def test_linear_oracle_never_reaches_the_path_budget(monkeypatch, capsys):
-    # The quadratic model of a linear fleet integrates no row.
-    from combidyn import refrigeration
-
-    monkeypatch.setattr(refrigeration, "_ORACLE_PATH_BUDGET", 0)
-    argv = ["optimize", "--scenario", str(SCENARIO_DIR / "case1_m10.yaml"), "--solver", "oracle"]
-    assert _run(argv) == 0
-    golden = Path(__file__).parent / "golden" / "optimize_oracle_case1_m10.txt"
-    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+@pytest.mark.parametrize("command", ["sweep-linearization", "compare-derivatives"])
+def test_sampled_commands_refuse_the_oracle_solver_before_any_slot(command, capsys):
+    # They certify linearized picks, which have no oracle route: argparse
+    # refuses the option before a scenario is parsed.
+    argv = [command, "--scenario", str(SCENARIO_DIR / "case1_m10.yaml"), "--solver", "oracle"]
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'oracle'" in err
+    assert "(step" not in err
 
 
 def _diverging_scenario(path):

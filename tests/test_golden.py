@@ -2,8 +2,10 @@
 
 Each file under ``tests/golden/`` is the recorded stdout of one command on a
 shipped scenario, or on the generated m = 100 Case II fleet, whose 41-row LP
-no shipped scenario has.  The two m = 20 oracle and concavity runs enumerate
+no shipped scenario has.  The m = 20 oracle and concavity runs enumerate
 2^20 rows in sixteen blocks, so they cover the enumerator's block boundaries.
+The transient m = 20 concavity run pins the standard derivative's premise
+failure on that fleet (FAIL, gap 5.66).
 Changes that promise identical numbers keep these bytes and the exit code; a
 change that moves numbers on purpose re-records the affected files and says
 so in CHANGES.md.
@@ -40,6 +42,9 @@ RUNS = {
     "compare_transient_m20": ["compare-derivatives", "transient_m20", *SAMPLES],
     "check_concavity_case1_m10": ["check-concavity", "case1_m10", *RK4],
     "check_concavity_rk4_case1_m20": ["check-concavity", "case1_m20", *RK4],
+    "check_concavity_standard_rk4_transient_m20": [
+        "check-concavity", "transient_m20", *RK4, "--grid", "21"
+    ],
     "check_submodular_case1_m10": ["check-submodular", "case1_m10", *RK4],
 }
 

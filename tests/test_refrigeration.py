@@ -7,7 +7,6 @@ import pytest
 from combidyn import (
     ConstraintError,
     DimensionError,
-    EnumerationRefusedError,
     FleetQuadratic,
     SystemSpec,
     TargetBandCase,
@@ -33,6 +32,7 @@ from combidyn import (
     penalty,
     quadratic_payoff_model,
     run_receding_horizon,
+    slot_payoff,
     slot_picks,
     solve_adjoint,
     solve_bruteforce,
@@ -228,13 +228,33 @@ def test_quadratic_model_matches_integrated_payoff():
 @pytest.mark.parametrize("m", [10, 20, 100])
 def test_fleet_hessian_is_symmetric_and_negative_semidefinite(m, scheme):
     # -S^T W S with W = diag(2 w d) >= 0, symmetrized: symmetric bit for bit,
-    # and no eigenvalue above roundoff.
+    # and no eigenvalue above roundoff, for both fleets.
     params = default_fleet(m, seed=m)
     grid = TimeGrid(SLOT, 51)
-    sens = affine_state_model(build_etp_system(params, SLOT), grid, scheme)[1]
-    Q = FleetQuadratic(params, grid, sens).quadratic
-    assert np.array_equal(Q, Q.T)
-    assert np.linalg.eigvalsh(Q).max() <= 1e-12 * np.linalg.norm(Q)
+    transient = build_transient_system(params, np.full(m, 100.0), transient_members(m), SLOT)
+    for spec in (build_etp_system(params, SLOT), transient):
+        sens = affine_state_model(spec, grid, scheme)[1]
+        Q = FleetQuadratic(params, grid, sens).quadratic
+        assert np.array_equal(Q, Q.T)
+        assert np.linalg.eigvalsh(Q).max() <= 1e-12 * np.linalg.norm(Q)
+
+
+@pytest.mark.parametrize("grid_points", [21, 201])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("m", [10, 20])
+@pytest.mark.parametrize("transient", [False, True])
+def test_slot_payoff_equals_integration_at_binary_rows(transient, m, scheme, grid_points):
+    # Both fleets are linear in the state with one term per decision entry,
+    # so the quadratic slot model reproduces the integrated payoff at every
+    # binary row.
+    sc = default_scenario(m, seed=3, transient=transient)
+    spec = step_system(sc, sc.params.x0)
+    grid = TimeGrid(sc.step_hours, grid_points)
+    base_path = integrate(spec, np.zeros(m), grid, scheme)
+    objective, _fleet = slot_payoff(sc, spec, grid, scheme, base_path)
+    rows = np.random.default_rng(m + grid_points).integers(0, 2, (200, m)).astype(float)
+    want = payoff_function(spec, grid, scheme)(rows)
+    assert np.all(np.abs(objective(rows) - want) <= 1e-12 * np.abs(want))
 
 
 def test_case_one_payoff_is_concave_and_submodular_small_fleet():
@@ -336,6 +356,19 @@ def test_receding_horizon_oracle_ratio_bounds():
     for res in results:
         assert res.oracle_ratio <= 1.0 + 1e-9
         assert res.oracle_ratio + 1e-9 >= res.rho_post or res.optimal
+
+
+def test_transient_nonstandard_bound_holds_against_the_oracle():
+    # The transient oracle runs on the quadratic slot model, so it can check
+    # the nonstandard certificate: every slot's a-posteriori bound is at most
+    # the achieved share of the true optimum (the benchmark's slot rule).
+    sc = default_scenario(20, 7, transient=True, num_steps=4)
+    results = run_receding_horizon(
+        sc, kind="nonstandard", with_oracle=True, scheme="rk4", grid_points=51
+    )
+    assert len(results) == 4
+    for res in results:
+        assert res.rho_post <= res.oracle_ratio + 1e-9
 
 
 def test_transient_members_pattern():
@@ -473,43 +506,46 @@ def test_one_forward_pass_and_one_costate_per_slot(monkeypatch, transient, kind,
     assert counts == {"integrate": 2 * integrations, "solve_adjoint": 2}
 
 
+@pytest.mark.parametrize("transient", [False, True])
 @pytest.mark.parametrize("route", [dict(with_oracle=True), dict(solver="oracle")])
-def test_linear_oracle_probes_the_fleet_once_per_horizon(monkeypatch, route):
+def test_oracle_probes_the_fleet_once_per_horizon(monkeypatch, route, transient):
     # One probe stack in slot 1; after it each slot integrates its base path
     # and the applied decision (the with_oracle route's pick, the oracle
     # route's optimum) and reads the fleet's quadratic part for the oracle.
-    sc = default_scenario(20, seed=0, case="tu", num_steps=3)
+    # No fleet integrates the enumerated rows.
+    sc = default_scenario(20, seed=0, case="tu", num_steps=3, transient=transient)
     counts = _count_calls(monkeypatch, integrate, affine_state_model, payoff_function)
     results = run_receding_horizon(sc, grid_points=51, scheme="rk4", **route)
     assert len(results) == 3
     assert counts == {"integrate": 2 * 3 + 1, "affine_state_model": 1, "payoff_function": 0}
 
 
-@pytest.mark.parametrize("route", [dict(with_oracle=True), dict(solver="oracle")])
-def test_transient_oracle_integrates_every_row_under_the_path_budget(monkeypatch, route):
-    # A transient fleet has no quadratic model: every slot's oracle goes
-    # through payoff_function, and above the path budget it is refused.
-    from combidyn import refrigeration
-
-    sc = default_scenario(10, seed=0, num_steps=2, transient=True)
-    counts = _count_calls(monkeypatch, affine_state_model, payoff_function)
-    run_receding_horizon(sc, grid_points=21, scheme="rk4", **route)
-    assert counts == {"affine_state_model": 0, "payoff_function": 2}
-    monkeypatch.setattr(refrigeration, "_ORACLE_PATH_BUDGET", 21 * 10)
-    with pytest.raises(EnumerationRefusedError, match=r"\(step 1\)"):
-        run_receding_horizon(sc, grid_points=21, scheme="rk4", **route)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_slot_models_equal_a_per_slot_rebuild(monkeypatch, seed):
+@pytest.mark.parametrize(
+    "seed, transient",
+    [pytest.param(seed, transient, id=f"{seed}-transient" if transient else str(seed))
+     for transient in (False, True) for seed in (0, 1, 2)],
+)
+def test_slot_models_equal_a_per_slot_rebuild(monkeypatch, seed, transient):
     # Every slot's model (the fleet's Hessian and sensitivities from slot 1,
-    # completed by the slot's all-off path) equals quadratic_payoff_model
-    # rebuilt at the slot's temperatures: the constant bit for bit, the rest
-    # to roundoff, and the exhaustive optimum is the same decision.
-    sc = default_scenario(20, seed, "tu", num_steps=6)
+    # completed by the slot's all-off path) equals a model rebuilt at the
+    # slot's temperatures: quadratic_payoff_model for the linear fleet, a
+    # fresh slot_payoff for the transient one.  The constant is equal bit for
+    # bit, the rest to roundoff, and the exhaustive optimum is the same.
+    if transient:
+        sc = default_scenario(20, seed, num_steps=6, transient=True)
+    else:
+        sc = default_scenario(20, seed, "tu", num_steps=6)
     grid = TimeGrid(sc.step_hours, 51)
     models = []
     fleet_model = FleetQuadratic.model
+
+    def rebuild(x):
+        if not transient:
+            return quadratic_payoff_model(dataclasses.replace(sc.params, x0=x), SLOT, grid, "rk4")
+        spec = step_system(sc, x)
+        base_path = integrate(spec, np.zeros(20), grid, "rk4")
+        _objective, fleet = slot_payoff(sc, spec, grid, "rk4", base_path, fleet=None)
+        return fleet_model(fleet, base_path.values)
 
     def recorded(self, base):
         models.append(fleet_model(self, base))
@@ -525,7 +561,7 @@ def test_slot_models_equal_a_per_slot_rebuild(monkeypatch, seed):
     for route, results, slot_models in ((0, checked, models[:6]), (1, optimal, models[6:])):
         x = sc.params.x0
         for res, model in zip(results, slot_models):
-            rebuilt = quadratic_payoff_model(dataclasses.replace(sc.params, x0=x), SLOT, grid, "rk4")
+            rebuilt = rebuild(x)
             assert model.constant == rebuilt.constant
             for got, want in ((model.linear, rebuilt.linear), (model.quadratic, rebuilt.quadratic)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -429,20 +429,6 @@ def test_enumerator_blocks_share_one_buffer(kind):
     assert np.shares_memory(first, second)
 
 
-@pytest.mark.parametrize("kind", ["none", "l0", "tu", "knapsack", "explicit"])
-@pytest.mark.parametrize("m", [1, 5, 17])
-def test_feasible_count_is_the_masked_table_size(m, kind):
-    con = _enumerator_constraints(kind, m)
-    rows = binary_rows(0, 1 << m, m)
-    want = rows.shape[0] if con is None else int(feasible_mask(con, rows).sum())
-    assert solvers.feasible_count(m, con) == want
-
-
-def test_feasible_count_refuses_above_the_enumeration_limit():
-    with pytest.raises(EnumerationRefusedError):
-        solvers.feasible_count(25, None)
-
-
 @pytest.mark.parametrize("rhs", [(-5e9, 5e9), (5e9, -5e9), (5e9, 5e9), (24000.0, 5e9), (5e9, -3000.0)])
 def test_enumerator_narrow_sums_clip_the_slack(rhs):
     # Entries of 3000 over the low 16 columns sum past the int16 range, so
