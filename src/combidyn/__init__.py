@@ -75,6 +75,7 @@ from .certify import (
     submodularity_report,
 )
 from .refrigeration import (
+    LINEARIZED_SOLVERS,
     EtpParams,
     FleetQuadratic,
     QuadraticPayoff,

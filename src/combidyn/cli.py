@@ -1,18 +1,23 @@
 """Batch command-line front end.
 
-Commands operate on a scenario file and write CSV or a human-readable
-report:
+Each command reads ``--scenario`` and writes CSV or a report to ``--out``
+(stdout when omitted).  It accepts only the options it reads (``_COMMANDS``):
 
-* optimize             roll the receding horizon, one CSV row per step/unit
-* certify              per-step suboptimality certificates
-* oracle               per-step exhaustive optimum and achieved ratio
-* sweep-linearization  payoff gains over sampled linearization points
-* compare-derivatives  both derivative concepts side by side
-* check-concavity      exhaustive certificate-validity check (first slot)
-* check-submodular     exhaustive diminishing-returns check (first slot)
+* optimize, certify, oracle: the receding horizon as CSV rows per step/unit,
+  per-step certificates, or per-step exhaustive optimum and achieved ratio.
+  --derivative {standard,nonstandard,both} (no effect under --solver oracle),
+  --solver {l0,tu,oracle}, --grid, --scheme {euler,rk4}, --format {csv,report}
+* sweep-linearization: payoff gains over sampled linearization points.
+  --derivative {standard,nonstandard}, --solver {l0,tu}, --grid, --scheme,
+  --seed, --format, --samples
+* compare-derivatives: both derivatives side by side; sweep's options but --derivative
+* check-concavity, check-submodular: exhaustive certificate-validity and
+  diminishing-returns checks (first slot).  --grid, --scheme; check-concavity
+  also --derivative {standard,nonstandard}
 
-Exit codes: 0 ok, 2 parse/configuration/output error, 3 infeasible, 4
-numeric failure.  An error raised in slot k's work ends in ``(step k)``; the
+Exit codes: 0 ok, 2 parse/configuration/output error (argparse refuses an
+option the command does not read before the scenario is read), 3 infeasible,
+4 numeric failure.  An error raised in slot k's work ends in ``(step k)``; the
 first-slot commands run as step 1.  Floats print with 9 significant digits;
 outputs are byte-identical under a fixed seed and configuration.
 """
@@ -35,8 +40,9 @@ from .errors import (
     ScenarioError,
     named_step,
 )
-from .gradient import derivative, linearize
+from .gradient import DERIVATIVE_KINDS, derivative, linearize
 from .refrigeration import (
+    LINEARIZED_SOLVERS,
     Scenario,
     run_receding_horizon,
     slot_payoff,
@@ -45,7 +51,7 @@ from .refrigeration import (
     step_system,
 )
 from .scenario_io import parse_scenario
-from .system import TimeGrid, integrate
+from .system import SCHEMES, TimeGrid, integrate
 
 _CONFIG_ERRORS = (ScenarioError, ConstraintError, DimensionError, EnumerationRefusedError)
 
@@ -172,11 +178,6 @@ def _first_slot(config: argparse.Namespace, scenario: Scenario):
         yield (step_system(scenario, scenario.params.x0), *step_constraints(scenario, 1), grid)
 
 
-def _single_kind(config: argparse.Namespace) -> str:
-    """The derivative for commands that take one: ``both`` means standard."""
-    return "nonstandard" if config.derivative == "nonstandard" else "standard"
-
-
 def _sampled_picks(config: argparse.Namespace, scenario: Scenario, kinds):
     """Certified first-slot picks at sampled linearization points: all-zeros
     first, then ``samples - 1`` uniform draws.  A list of (index, base, picks)
@@ -190,10 +191,9 @@ def _sampled_picks(config: argparse.Namespace, scenario: Scenario, kinds):
 
 
 def _cmd_sweep(config: argparse.Namespace, scenario: Scenario):
-    kind = _single_kind(config)
     rows = []
-    for idx, abar, picks in _sampled_picks(config, scenario, (kind,)):
-        pick = picks[kind]
+    for idx, abar, picks in _sampled_picks(config, scenario, (config.derivative,)):
+        pick = picks[config.derivative]
         if idx == 0:
             baseline = pick.cert.base_payoff  # sample 0 linearizes at all-off
         rows.append((idx, abar, pick.payoff - baseline, pick.cert.rho_post))
@@ -213,9 +213,8 @@ def _cmd_sweep(config: argparse.Namespace, scenario: Scenario):
 
 def _cmd_compare(config: argparse.Namespace, scenario: Scenario):
     rows = []
-    kinds = ("standard", "nonstandard")
-    for idx, abar, picks in _sampled_picks(config, scenario, kinds):
-        std, ns = (picks[kind] for kind in kinds)
+    for idx, abar, picks in _sampled_picks(config, scenario, DERIVATIVE_KINDS):
+        std, ns = (picks[kind] for kind in DERIVATIVE_KINDS)
         gdiff = float(np.max(np.abs(std.grad.entries - ns.grad.entries)))
         rows.append((idx, abar, std.payoff, ns.payoff, gdiff))
     avg_std = float(np.mean([r[2] for r in rows]))
@@ -242,14 +241,13 @@ def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
     with _first_slot(config, scenario) as (spec, _con, _band, grid):
         lin = linearize(spec, abar, grid, config.scheme)
         payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, lin.forward)
-        grad = derivative(lin, _single_kind(config))
+        grad = derivative(lin, config.derivative)
         report = check_concavity_inequality(payoff_fn, abar, grad)
     verdict = "pass" if report.holds else "FAIL"
-    lines = [
+    return [
         f"concavity inequality ({grad.kind} derivative, {1 << abar.size} points): {verdict}",
         f"worst violator {_bits(report.witness)} with gap {_fnum(report.worst_gap)}",
     ]
-    return lines
 
 
 def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
@@ -259,13 +257,12 @@ def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
         payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, base_path)
         sub = submodularity_report(payoff_fn, m)
         mono = monotonicity_report(payoff_fn, m)
-    lines = [
+    return [
         f"submodularity: {'pass' if sub.holds else 'FAIL'} "
         f"(worst second difference {_fnum(sub.worst_gap)} at {_bits(sub.witness)})",
         f"monotonicity: {'pass' if mono.holds else 'FAIL'} "
         f"(worst drop {_fnum(mono.worst_gap)} at {_bits(mono.witness)})",
     ]
-    return lines
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -283,14 +280,30 @@ def nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-_DISPATCH = {
-    "optimize": _cmd_optimize,
-    "certify": _cmd_certify,
-    "oracle": _cmd_oracle,
-    "sweep-linearization": _cmd_sweep,
-    "compare-derivatives": _cmd_compare,
-    "check-concavity": _cmd_check_concavity,
-    "check-submodular": _cmd_check_submodular,
+# Every option's argparse spec by destination.  The horizon commands widen two
+# choices: "both" applies the better derivative's pick, "oracle" the optimum.
+_OPTIONS = {
+    "derivative": dict(default="standard", choices=DERIVATIVE_KINDS),
+    "solver": dict(default="tu", choices=LINEARIZED_SOLVERS),
+    "grid": dict(type=int, default=201, help="time points per slot"),
+    "scheme": dict(default="euler", choices=SCHEMES),
+    "seed": dict(type=nonnegative_int, default=0),
+    "format": dict(default="csv", choices=("csv", "report")),
+    "samples": dict(type=positive_int, default=100, help="sample count for sweeps"),
+}
+_HORIZON = ("derivative", "solver", "grid", "scheme", "format")
+_WIDE = {"derivative": (*DERIVATIVE_KINDS, "both"), "solver": (*LINEARIZED_SOLVERS, "oracle")}
+_SAMPLED = ("solver", "grid", "scheme", "seed", "format", "samples")
+
+# command: (handler, the options it reads besides --scenario and --out, widened choices)
+_COMMANDS = {
+    "optimize": (_cmd_optimize, _HORIZON, _WIDE),
+    "certify": (_cmd_certify, _HORIZON, _WIDE),
+    "oracle": (_cmd_oracle, _HORIZON, _WIDE),
+    "sweep-linearization": (_cmd_sweep, ("derivative", *_SAMPLED), {}),
+    "compare-derivatives": (_cmd_compare, _SAMPLED, {}),
+    "check-concavity": (_cmd_check_concavity, ("derivative", "grid", "scheme"), {}),
+    "check-submodular": (_cmd_check_submodular, ("grid", "scheme"), {}),
 }
 
 
@@ -300,21 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Optimize binary decisions governing an ODE fleet and certify the results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
+    for name, (_handler, options, widened) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument(
-            "--derivative", default="standard", choices=("standard", "nonstandard", "both")
-        )
-        # The sampled commands certify linearized picks: no oracle route.
-        sampled = name in ("sweep-linearization", "compare-derivatives")
-        p.add_argument("--solver", default="tu", choices=("l0", "tu") if sampled else ("l0", "tu", "oracle"))
-        p.add_argument("--grid", type=int, default=201, help="time points per slot")
-        p.add_argument("--scheme", default="euler", choices=("euler", "rk4"))
-        p.add_argument("--seed", type=nonnegative_int, default=0)
+        for dest in options:
+            spec = {**_OPTIONS[dest], "choices": widened[dest]} if dest in widened else _OPTIONS[dest]
+            p.add_argument(f"--{dest}", **spec)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        p.add_argument("--format", default="csv", choices=("csv", "report"))
-        p.add_argument("--samples", type=positive_int, default=100, help="sample count for sweeps")
     return parser
 
 
@@ -322,7 +327,7 @@ def main(argv=None) -> int:
     config = _build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # the package's finiteness checks report instead
-            lines = _DISPATCH[config.command](config, parse_scenario(config.scenario))
+            lines = _COMMANDS[config.command][0](config, parse_scenario(config.scenario))
     except CombidynError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, _CONFIG_ERRORS):

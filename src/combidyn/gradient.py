@@ -168,7 +168,9 @@ def nonstandard_derivative(lin: Linearization) -> Gradient:
 
 
 def derivative(lin: Linearization, kind: str) -> Gradient:
-    """The ``standard`` derivative at a linearization, else the nonstandard one."""
+    """The derivative of ``kind``, one of :data:`DERIVATIVE_KINDS`, at a linearization."""
+    if kind not in DERIVATIVE_KINDS:
+        raise ValueError(f"kind must be one of {DERIVATIVE_KINDS}, got {kind!r}")
     return standard_derivative(lin) if kind == "standard" else nonstandard_derivative(lin)
 
 

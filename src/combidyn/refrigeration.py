@@ -32,7 +32,7 @@ from .errors import (
     InfeasibleError,
     named_step,
 )
-from .gradient import Gradient, derivative, linearize
+from .gradient import DERIVATIVE_KINDS, Gradient, derivative, linearize
 from .solvers import (
     L0Band,
     TuRows,
@@ -602,6 +602,10 @@ def step_system(scenario: Scenario, x_now: np.ndarray) -> SystemSpec:
     )
 
 
+# Solvers of the linearized slot program; the horizon also takes "oracle".
+LINEARIZED_SOLVERS = ("l0", "tu")
+
+
 def solve_linearized(grad: Gradient, con: TuRows, band, solver: str):
     if solver == "tu":
         return solve_tu(grad, con.rows, con.rhs)
@@ -702,7 +706,7 @@ def run_receding_horizon(
             if solver == "oracle":
                 base_path = integrate(spec, abar, grid, scheme)
             else:
-                kinds = ("standard", "nonstandard") if kind == "both" else (kind,)
+                kinds = DERIVATIVE_KINDS if kind == "both" else (kind,)
                 picks = slot_picks(spec, abar, con, band, kinds, solver, grid, scheme)
                 # Ties keep the first kind, so "both" prefers the standard one.
                 used_kind = max(picks, key=lambda one: picks[one].payoff)

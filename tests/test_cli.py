@@ -1,6 +1,8 @@
+import argparse
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combidyn import TuCase, default_scenario, write_scenario
+from combidyn import TuCase, default_scenario, parse_scenario, write_scenario
+from combidyn import cli
 from combidyn.cli import main
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +65,7 @@ def test_optimize_csv_shape_and_consistency(small_scenario, tmp_path):
 def test_optimize_deterministic_bytes(small_scenario, tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (out1, out2):
-        assert _run(["optimize", "--scenario", small_scenario, "--grid", "101", "--seed", "5", "--out", out]) == 0
+        assert _run(["optimize", "--scenario", small_scenario, "--grid", "101", "--out", out]) == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
@@ -503,11 +507,12 @@ def test_first_slot_commands_name_no_step_outside_the_slot(command, small_scenar
     # Parsing the scenario and building the grid come before slot 1's work.
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema_version: 1\nfleet: {m: oops}\n")
+    samples = ["--samples", "2"] if command in ("sweep-linearization", "compare-derivatives") else []
     for argv, start in (
         (["--scenario", str(bad)], "error: ScenarioError: "),
         (["--scenario", small_scenario, "--grid", "1"], "error: DimensionError: "),
     ):
-        assert _run([command, *argv, "--samples", "2"]) == 2
+        assert _run([command, *argv, *samples]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(start) and err.count("\n") == 1
         assert "(step" not in err
@@ -529,3 +534,107 @@ def test_check_concavity_agrees_with_the_proved_premise(scenario, scheme, kind, 
     assert _run([*argv, "--scheme", scheme, "--derivative", kind]) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith(f"concavity inequality ({kind} derivative, ") and first.endswith(": pass")
+
+
+def _subparsers():
+    (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _declared(subparser):
+    """{option string: choices or None} of a subparser, without the
+    --scenario and --out every command takes."""
+    return {
+        action.option_strings[0]: tuple(action.choices) if action.choices else None
+        for action in subparser._actions
+        if action.dest not in ("help", "scenario", "out")
+    }
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """Records every attribute read once ``reads`` is set to a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None and not name.startswith("__"):
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_handler_reads_exactly_the_options_it_declares(command):
+    subparser = _subparsers()[command]
+    declared = {action.dest for action in subparser._actions} - {"help", "scenario", "out"}
+    scenario = parse_scenario(str(SCENARIO_DIR / "case1_m10.yaml"))
+    handler = cli._COMMANDS[command][0]
+    for fmt in ("csv", "report") if "format" in declared else (None,):
+        argv = [command, "--scenario", str(SCENARIO_DIR / "case1_m10.yaml"), "--grid", "21"]
+        config = cli._build_parser().parse_args(
+            argv + (["--format", fmt] if fmt else []), namespace=_RecordingNamespace()
+        )
+        config.reads = reads = set()
+        handler(config, scenario)
+        assert reads - {"command", "scenario", "out"} == declared, fmt
+
+
+_REFUSED = [
+    *[
+        (command, option)
+        for command in ("optimize", "certify", "oracle")
+        for option in (["--seed", "1"], ["--samples", "2"])
+    ],
+    ("compare-derivatives", ["--derivative", "standard"]),
+    *[
+        ("check-concavity", option)
+        for option in (["--solver", "tu"], ["--seed", "1"], ["--samples", "2"], ["--format", "csv"])
+    ],
+    *[
+        ("check-submodular", option)
+        for option in (
+            ["--derivative", "standard"], ["--solver", "tu"], ["--seed", "1"], ["--samples", "2"], ["--format", "csv"]
+        )
+    ],
+    ("sweep-linearization", ["--derivative", "both"]),
+    ("check-concavity", ["--derivative", "both"]),
+]
+
+
+@pytest.mark.parametrize("command, option", _REFUSED, ids=[f"{c}{' '.join(o)}" for c, o in _REFUSED])
+def test_an_option_the_command_does_not_read_is_refused_before_the_scenario(command, option, tmp_path, capsys):
+    # The scenario does not exist: argparse must refuse ahead of reading it.
+    with pytest.raises(SystemExit) as exc:
+        _run([command, "--scenario", str(tmp_path / "missing.yaml"), *option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+    assert "ScenarioError" not in err and "(step" not in err
+
+
+def _readme_options():
+    """{command: {option string: choices or None}} from the README's table."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("| command | options |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for row in block.splitlines():
+        commands, options = row.strip("| ").split(" | ")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            table[command] = {
+                flag: tuple(choices.split(",")) if choices else None
+                for flag, choices in re.findall(r"`(--[a-z]+)(?: \{([a-z0-9,]+)\}| [A-Z]+)`", options)
+            }
+    return table
+
+
+def test_readme_option_table_matches_the_parser():
+    subparsers = _subparsers()
+    assert _readme_options() == {name: _declared(p) for name, p in subparsers.items()}
+    text = README.read_text(encoding="utf-8")
+    defaults = dict(re.findall(r"`--([a-z]+) ([a-z0-9]+)`", text.split("The defaults are", 1)[1].split(".", 1)[0]))
+    for subparser in subparsers.values():
+        options = {a.option_strings[0]: a for a in subparser._actions}
+        assert "--scenario" in options and "--out" in options
+        for dest, default in defaults.items():
+            if f"--{dest}" in options:
+                assert str(options[f"--{dest}"].default) == default

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ def test_standard_scalar_affine_value():
     grad = standard_derivative(linearize(spec, [0.0], _grid(spec, 1001), "rk4"))
     assert abs(grad.entries[0] - (E - 2.0)) < 1e-4
     assert abs(grad.base_payoff - 0.0) < 1e-6  # J at alpha = 0 with x(0) = 0
+
+
+@pytest.mark.parametrize("kind", ["standrd", "Standard", "both"])
+def test_derivative_refuses_an_unknown_kind(kind):
+    # An unknown kind must not fall through to the nonstandard derivative.
+    from combidyn.gradient import DERIVATIVE_KINDS, derivative
+
+    spec = scalar_affine_system()
+    lin = linearize(spec, [0.0], _grid(spec, 101), "rk4")
+    with pytest.raises(ValueError, match=f"kind must be one of {re.escape(str(DERIVATIVE_KINDS))}"):
+        derivative(lin, kind)
 
 
 def test_standard_zero_when_decision_free():

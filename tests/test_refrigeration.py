@@ -304,6 +304,12 @@ def test_receding_horizon_state_continuity_and_power():
         x = res.temperatures_end.copy()
 
 
+def test_receding_horizon_refuses_an_unknown_derivative_kind():
+    # A misspelt kind used to run the nonstandard picks under its own label.
+    with pytest.raises(ValueError, match="kind must be one of"):
+        run_receding_horizon(default_scenario(10, 0, num_steps=2), kind="Standard", grid_points=21)
+
+
 def test_receding_horizon_zero_penalty_weights():
     sc = default_scenario(10, seed=2, num_steps=3)
     params = dataclasses.replace(sc.params, delta=np.zeros(10))
