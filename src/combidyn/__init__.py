@@ -21,7 +21,6 @@ from .errors import (
     TuViolationError,
 )
 from .system import (
-    AdjointTrajectory,
     SystemSpec,
     TimeGrid,
     Trajectory,
@@ -53,7 +52,6 @@ from .gradient import (
 from .simplex import LpProblem, solve_boxed_lp
 from .solvers import (
     ConstraintSet,
-    ExplicitSet,
     Knapsack,
     L0Band,
     TuRows,
@@ -75,6 +73,8 @@ from .certify import (
     submodularity_report,
 )
 from .refrigeration import (
+    HORIZON_KINDS,
+    HORIZON_SOLVERS,
     LINEARIZED_SOLVERS,
     EtpParams,
     FleetQuadratic,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import AdjointDivergedError, DimensionError
 from .system import (
-    AdjointTrajectory,
     SystemSpec,
     Trajectory,
     _check_grid,
@@ -42,7 +41,7 @@ def hamiltonian(spec: SystemSpec, state, costate, alpha, t: float = 0.0) -> floa
 
 def solve_adjoint(
     spec: SystemSpec, alpha, forward: Trajectory, scheme: str = "euler"
-) -> AdjointTrajectory:
+) -> Trajectory:
     """Integrate the costate backward from t = T over the forward grid.
 
     ``forward`` must be the trajectory produced by ``integrate`` for the same
@@ -99,4 +98,4 @@ def solve_adjoint(
             out[k] = lam
 
     out.flags.writeable = False
-    return AdjointTrajectory(grid=forward.grid, values=out)
+    return Trajectory(grid=forward.grid, values=out)

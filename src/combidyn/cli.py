@@ -42,6 +42,8 @@ from .errors import (
 )
 from .gradient import DERIVATIVE_KINDS, derivative, linearize
 from .refrigeration import (
+    HORIZON_KINDS,
+    HORIZON_SOLVERS,
     LINEARIZED_SOLVERS,
     Scenario,
     run_receding_horizon,
@@ -280,8 +282,7 @@ def nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-# Every option's argparse spec by destination.  The horizon commands widen two
-# choices: "both" applies the better derivative's pick, "oracle" the optimum.
+# Every option's argparse spec by destination; the horizon commands widen two.
 _OPTIONS = {
     "derivative": dict(default="standard", choices=DERIVATIVE_KINDS),
     "solver": dict(default="tu", choices=LINEARIZED_SOLVERS),
@@ -292,7 +293,7 @@ _OPTIONS = {
     "samples": dict(type=positive_int, default=100, help="sample count for sweeps"),
 }
 _HORIZON = ("derivative", "solver", "grid", "scheme", "format")
-_WIDE = {"derivative": (*DERIVATIVE_KINDS, "both"), "solver": (*LINEARIZED_SOLVERS, "oracle")}
+_WIDE = {"derivative": HORIZON_KINDS, "solver": HORIZON_SOLVERS}
 _SAMPLED = ("solver", "grid", "scheme", "seed", "format", "samples")
 
 # command: (handler, the options it reads besides --scenario and --out, widened choices)

@@ -4,7 +4,8 @@ Two derivative concepts are provided:
 
 * ``standard``: relax the decision into the unit box and differentiate as
   usual.  A quadrature of  jac_f_alpha^T lam + jac_r_alpha^T  along the
-  base path.  Needs the system to be relaxable.
+  base path, read from the spec's decision Jacobians.  Needs the system to
+  be relaxable and to supply both.
 
 * ``nonstandard``: vary the vector field and running payoff by convex
   combination instead of varying the decision.  Entry i weighs the field and
@@ -46,10 +47,6 @@ from .system import (
 )
 
 DERIVATIVE_KINDS = ("standard", "nonstandard")
-
-# Step for the central-difference fallback when analytic decision-Jacobians
-# are absent from a relaxable spec.
-_JAC_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -93,41 +90,24 @@ class Gradient:
             raise ValueError("gradient entries must be finite")
 
 
-def _fd_jac_alpha(fn, X, alpha, times):
-    """Central differences of fn(x, ., t) in the decision argument at every
-    knot: the 2m probes alpha +- h e_i are stacked as decisions, so the
-    result is (N, m, ...) with the decision axis ahead of fn's output axes."""
-    steps = _JAC_FD_STEP * np.eye(alpha.size)
-    hi = fn(X[:, None], alpha + steps, times[:, None])
-    lo = fn(X[:, None], alpha - steps, times[:, None])
-    return (np.asarray(hi, dtype=float) - lo) / (2.0 * _JAC_FD_STEP)
-
-
 def standard_derivative(lin: Linearization) -> Gradient:
-    """Relaxation-based derivative via the costate quadrature.
+    """Relaxation-based derivative via the costate quadrature over the
+    spec's decision Jacobians ``jac_f_alpha`` and ``jac_r_alpha``.
 
-    Uses the spec's analytic decision-Jacobians when present, otherwise a
-    pointwise central-difference fallback along the stored trajectory.
+    NotRelaxableError when the spec is not relaxable or lacks either one.
     """
     spec = lin.spec
-    if not spec.relaxable:
+    if not spec.relaxable or spec.jac_f_alpha is None or spec.jac_r_alpha is None:
         raise NotRelaxableError(
-            "the relaxation-based derivative needs a system defined on the unit box"
+            "the relaxation-based derivative needs a system defined on the unit box "
+            "with decision Jacobians jac_f_alpha and jac_r_alpha"
         )
     abar, grid = lin.base_point, lin.forward.grid
     n, m, N = spec.state_dim, spec.decision_dim, grid.num_points
     times = grid.times
     X, L = lin.forward.values, lin.costate.values
-    if spec.jac_f_alpha is not None:
-        Fa = spec.jac_f_alpha(X, abar, times)
-    else:
-        Fa = np.swapaxes(_fd_jac_alpha(spec.vector_field, X, abar, times), -1, -2)
-    if spec.jac_r_alpha is not None:
-        Ra = spec.jac_r_alpha(X, abar, times)
-    else:
-        Ra = _fd_jac_alpha(spec.running_payoff, X, abar, times)
-    Fa = broadcast_result(Fa, (N, n, m), "jac_f_alpha")
-    Ra = broadcast_result(Ra, (N, m), "jac_r_alpha")
+    Fa = broadcast_result(spec.jac_f_alpha(X, abar, times), (N, n, m), "jac_f_alpha")
+    Ra = broadcast_result(spec.jac_r_alpha(X, abar, times), (N, m), "jac_r_alpha")
     # Row k is Fa[k].T @ lam[k] + Ra[k], the same BLAS call per knot.
     integrand = (L[:, None, :] @ Fa)[:, 0, :] + Ra
     entries = trapezoid_weights(grid) @ integrand

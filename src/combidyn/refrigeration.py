@@ -44,6 +44,7 @@ from .solvers import (
     solve_tu,
 )
 from .system import (
+    SCHEMES,
     SystemSpec,
     TimeGrid,
     Trajectory,
@@ -336,8 +337,7 @@ class StepResult:
 @dataclass(frozen=True)
 class QuadraticPayoff:
     """Exact quadratic form of the discrete slot payoff at binary decision
-    vectors, valid when the field is linear in the state and each decision
-    entry enters through one term of its own (see affine_state_model)."""
+    vectors, valid under the exactness condition of affine_state_model."""
 
     constant: float
     linear: np.ndarray
@@ -355,11 +355,11 @@ class QuadraticPayoff:
 class FleetQuadratic:
     """The part of a fleet's quadratic slot payoff that no slot changes.
 
-    Both fleets have one: their fields are linear in the state and each
-    decision entry enters through one term of its own (``b_i a_i``, or
-    ``b_i exp(-xi_i (1 - a_i) t)`` for a transient member), so the path is
-    exactly affine at binary points and the band penalty makes the payoff an
-    exact quadratic there.
+    Both fleets have one: their fields meet the exactness condition of
+    :func:`~combidyn.system.affine_state_model` through the decision terms
+    ``b_i a_i`` and, for a transient member, ``b_i exp(-xi_i (1 - a_i) t)``,
+    so the path is exactly affine at binary points and the band penalty
+    makes the payoff an exact quadratic there.
 
     ``sens`` holds the (N, n, m) sensitivity columns of the discrete path
     (see affine_state_model) and ``quadratic`` the Hessian
@@ -404,14 +404,14 @@ def quadratic_payoff_model(
     """Reduce the discrete slot payoff of the fleet without transient members
     to a quadratic form: the one-shot reference for :func:`slot_payoff`.
 
-    The field is linear in the state and each decision entry enters through
-    one term of its own, so the discrete trajectory is exactly affine in the
-    decision and the band penalty is quadratic in temperature; the trapezoid
-    payoff is an exact quadratic in the decision.  Produces the
-    same numbers as integrate + evaluate_payoff on the same grid and scheme,
-    at a tiny fraction of the cost when sweeping many decisions.  One probe
-    (affine_state_model) feeds both parts, :class:`FleetQuadratic` and its
-    :meth:`~FleetQuadratic.model`; a receding horizon builds the first once.
+    The discrete trajectory is exactly affine in the decision (see
+    :class:`FleetQuadratic`) and the band penalty is quadratic in
+    temperature, so the trapezoid payoff is an exact quadratic in the
+    decision.  Produces the same numbers as integrate + evaluate_payoff on
+    the same grid and scheme, at a tiny fraction of the cost when sweeping
+    many decisions.  One probe (affine_state_model) feeds both parts,
+    :class:`FleetQuadratic` and its :meth:`~FleetQuadratic.model`; a
+    receding horizon builds the first once.
     """
     base, sens = affine_state_model(build_etp_system(params, horizon), grid, scheme)
     return FleetQuadratic(params, grid, sens).model(base)
@@ -602,8 +602,11 @@ def step_system(scenario: Scenario, x_now: np.ndarray) -> SystemSpec:
     )
 
 
-# Solvers of the linearized slot program; the horizon also takes "oracle".
+# Solvers of the linearized slot program.  The horizon's choices widen both
+# selectors: "both" applies the better derivative's pick, "oracle" the optimum.
 LINEARIZED_SOLVERS = ("l0", "tu")
+HORIZON_KINDS = (*DERIVATIVE_KINDS, "both")
+HORIZON_SOLVERS = (*LINEARIZED_SOLVERS, "oracle")
 
 
 def solve_linearized(grad: Gradient, con: TuRows, band, solver: str):
@@ -660,10 +663,8 @@ def slot_picks(spec: SystemSpec, alpha_bar, con: TuRows, band, kinds, solver, gr
 def slot_payoff(scenario: Scenario, spec: SystemSpec, grid, scheme, base_path, fleet=None):
     """(objective, fleet): the exact discrete payoff of one slot over binary
     decision rows (..., m), ``fleet.model`` on the slot's all-off
-    ``base_path``.  Both fleets qualify: the field is linear in the state and
-    each decision entry enters through one term of its own, so the path is
-    exactly affine at binary points.  ``fleet`` is probed from ``spec`` when
-    None and kept for later slots."""
+    ``base_path``, exact for both fleets (see :class:`FleetQuadratic`).
+    ``fleet`` is probed from ``spec`` when None and kept for later slots."""
     if fleet is None:
         fleet = FleetQuadratic(scenario.params, grid, affine_state_model(spec, grid, scheme)[1])
     return fleet.model(base_path.values).value, fleet
@@ -686,16 +687,20 @@ def run_receding_horizon(
     ``with_oracle=True`` additionally reports the exact optimum and the
     achieved optimality ratio along the applied path.  Both oracle routes
     take one exhaustive step over :func:`slot_payoff`, which probes the fleet
-    once per horizon; its model is exact at binary points for both fleets
-    (linear in the state, one term per decision entry).  A package error
-    raised in slot k carries step k.
+    once per horizon; its model is exact at binary points for both fleets.
+    ``kind``, ``solver`` and ``scheme`` are checked against
+    :data:`HORIZON_KINDS`, :data:`HORIZON_SOLVERS` and ``SCHEMES`` before
+    slot 1 (ValueError); a package error raised in slot k carries step k.
     """
     m = scenario.params.m
     grid = TimeGrid(scenario.step_hours, grid_points)
+    for name, value, choices in (
+        ("kind", kind, HORIZON_KINDS), ("solver", solver, HORIZON_SOLVERS), ("scheme", scheme, SCHEMES)
+    ):
+        if value not in choices:
+            raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     x = scenario.params.x0.copy()
-    # The payoff's quadratic part from the first oracle step: exact at binary
-    # points, as the field is linear in the state with one term per decision.
-    fleet = None
+    fleet = None  # the payoff's quadratic part, from the first oracle step
     results = []
 
     for k in range(1, scenario.num_steps + 1):

@@ -13,7 +13,6 @@ Constraint kinds:
                   unimodular row matrix, solved exactly through the boxed LP
                   relaxation (the optimal vertex is integral)
 * knapsack      : nonnegative weights, one capacity, 0.5-approximate greedy
-* explicit      : a literal list of admissible vectors
 
 The exhaustive oracle (:func:`solve_bruteforce`) and the checks in ``certify``
 share one enumerator, :func:`binary_chunks`: lexicographic blocks of 2^16 rows
@@ -42,12 +41,13 @@ from .simplex import LpProblem, solve_boxed_lp
 _TU_CHECK_LIMIT = 8          # exhaustive determinant check up to this size
 _BRUTE_FORCE_LIMIT = 24
 _SUFFIX_BITS = 16            # enumeration blocks hold 2^16 rows
+_TU_MINOR_LIMIT = 200000
 
 
-def is_totally_unimodular(Q, max_minors: int = 200000) -> bool:
+def is_totally_unimodular(Q) -> bool:
     """Exhaustively test total unimodularity by enumerating square submatrix
-    determinants.  Intended for small matrices; raises when the number of
-    minors exceeds ``max_minors``."""
+    determinants.  Intended for small matrices; raises EnumerationRefusedError
+    before enumerating when the number of minors exceeds _TU_MINOR_LIMIT."""
     A = np.asarray(Q, dtype=float)
     if not np.allclose(A, np.round(A), atol=1e-9):
         return False
@@ -58,9 +58,9 @@ def is_totally_unimodular(Q, max_minors: int = 200000) -> bool:
 
     for k in range(1, min(l, m) + 1):
         total += comb(l, k) * comb(m, k)
-    if total > max_minors:
+    if total > _TU_MINOR_LIMIT:
         raise EnumerationRefusedError(
-            f"{total} square submatrices exceed the enumeration limit {max_minors}"
+            f"{total} square submatrices exceed the enumeration limit {_TU_MINOR_LIMIT}"
         )
     for k in range(1, min(l, m) + 1):
         for rows in itertools.combinations(range(l), k):
@@ -133,28 +133,7 @@ class Knapsack:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class ExplicitSet:
-    """A literal collection of admissible binary vectors of one length."""
-
-    vectors: tuple
-
-    def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=float).reshape(-1) for v in self.vectors)
-        if not vecs:
-            raise ConstraintError("explicit constraint set is empty")
-        if len({v.size for v in vecs}) != 1:
-            raise ConstraintError("explicit vectors must all have the same length")
-        if not all(np.all((v == 0.0) | (v == 1.0)) for v in vecs):
-            raise ConstraintError("explicit vectors must be binary")
-        # (v == 1) drops the sign of a -0.0 entry, so equal vectors have equal bytes.
-        object.__setattr__(self, "vectors", tuple((v == 1.0).astype(float) for v in vecs))
-
-    def _key_set(self):
-        return {v.tobytes() for v in self.vectors}
-
-
-ConstraintSet = Union[L0Band, TuRows, Knapsack, ExplicitSet]
+ConstraintSet = Union[L0Band, TuRows, Knapsack]
 
 
 def is_feasible(constraints: ConstraintSet, alpha) -> bool:
@@ -165,17 +144,12 @@ def is_feasible(constraints: ConstraintSet, alpha) -> bool:
 
 def feasible_mask(constraints: ConstraintSet, A: np.ndarray) -> np.ndarray:
     """Vectorized feasibility over a (N, m) matrix of binary rows."""
-    if isinstance(constraints, L0Band):
-        s = A.sum(axis=1)
-        return (s >= constraints.k_min) & (s <= constraints.k_max)
-    if isinstance(constraints, TuRows):
-        return np.all(A @ constraints.rows.T <= constraints.rhs + 1e-9, axis=1)
     if isinstance(constraints, Knapsack):
         return A @ constraints.weights <= constraints.capacity + 1e-9
-    if isinstance(constraints, ExplicitSet):
-        keys = constraints._key_set()
-        rows = np.ascontiguousarray(A, dtype=float) + 0.0  # -0.0 + 0.0 is 0.0
-        return np.fromiter((r.tobytes() in keys for r in rows), bool, count=rows.shape[0])
+    integer = integer_rows(constraints, A.shape[1])
+    if integer is not None:
+        rows, rhs = integer
+        return np.all(A @ rows.T <= rhs + 1e-9, axis=1)
     raise ConstraintError(f"unknown constraint set {type(constraints).__name__}")
 
 
@@ -312,18 +286,6 @@ def _suffix_sums(m: int, shape: tuple, data: bytes) -> np.ndarray:
     return sums
 
 
-def _explicit_chunks(constraints: ExplicitSet, m: int):
-    """An explicit set's distinct vectors in code order, split at the
-    2^16-code block boundaries (where the leading m - 16 entries change);
-    nothing when its vectors are not m long."""
-    if constraints.vectors[0].size != m:
-        return
-    rows = np.unique(np.stack(constraints.vectors), axis=0)  # lexicographic: code order
-    high = max(m - _SUFFIX_BITS, 0)
-    new_block = np.any(rows[1:, :high] != rows[:-1, :high], axis=1)
-    yield from np.split(rows, np.flatnonzero(new_block) + 1)
-
-
 def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
     """Yield the feasible binary m-vectors as row blocks in lexicographic order.
 
@@ -337,16 +299,12 @@ def binary_chunks(m: int, constraints: Optional[ConstraintSet] = None):
     type's range.  Both sides are exact integers (binary decisions, integer
     rows) and every sum lies inside the range, so the mask equals
     :func:`feasible_mask` on the full block.  ``Knapsack``
-    applies :func:`feasible_mask` to each built block.  An ``ExplicitSet``
-    builds no block: its own vectors are the feasible rows.  Blocks with no
+    applies :func:`feasible_mask` to each built block.  Blocks with no
     feasible row are skipped; the full table is never built.
 
     The blocks are built in one buffer per call, so a block is valid only
     until the next one is yielded: a consumer copies the rows it keeps.
     """
-    if isinstance(constraints, ExplicitSet):
-        yield from _explicit_chunks(constraints, m)
-        return
     high = max(m - _SUFFIX_BITS, 0)
     table = _suffix_table(m)
     integer = integer_rows(constraints, m)

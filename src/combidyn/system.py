@@ -119,8 +119,10 @@ class SystemSpec:
 
     relaxable=True declares that ``vector_field`` and ``running_payoff``
     accept fractional decision vectors in the unit box, which the
-    relaxation-based derivative needs.  The convex-combination derivative
-    never evaluates off binary points and works either way.
+    relaxation-based derivative needs; that derivative reads the decision
+    Jacobians ``jac_f_alpha`` and ``jac_r_alpha``, so it needs both too.
+    The convex-combination derivative never evaluates off binary points and
+    works either way.
     """
 
     state_dim: int
@@ -167,10 +169,6 @@ class Trajectory:
         return self.values[-1]
 
 
-# The costate path lives on the same grid with the same layout.
-AdjointTrajectory = Trajectory
-
-
 def _check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -186,7 +184,7 @@ def _check_grid(spec: SystemSpec, grid: TimeGrid) -> None:
 def _check_decision(spec: SystemSpec, alpha) -> np.ndarray:
     a = decision_vector(alpha, spec.decision_dim)
     if spec.relaxable:
-        if np.any(a < -_BOX_OVERHANG) or np.any(a > 1.0 + _BOX_OVERHANG):
+        if not np.all((a >= -_BOX_OVERHANG) & (a <= 1.0 + _BOX_OVERHANG)):  # NaN fails too
             raise ValueError("relaxed decision entries must lie in the unit box")
     else:
         if not np.all((a == 0.0) | (a == 1.0)):

@@ -76,13 +76,13 @@ def test_standard_requires_relaxable():
         standard_derivative(linearize(spec, [0.0, 0.0], _grid(spec, 101)))
 
 
-def test_standard_jacobian_fallback():
-    spec = cubic_bias_system()
-    stripped = dataclasses.replace(spec, jac_f_alpha=None, jac_r_alpha=None)
-    grid = _grid(spec, 401)
-    exact = standard_derivative(linearize(spec, [1.0, 0.0], grid, "rk4"))
-    fallback = standard_derivative(linearize(stripped, [1.0, 0.0], grid, "rk4"))
-    assert np.max(np.abs(exact.entries - fallback.entries)) < 1e-6
+@pytest.mark.parametrize("missing", ["jac_f_alpha", "jac_r_alpha"])
+def test_standard_refuses_a_relaxable_spec_without_a_decision_jacobian(missing):
+    # The derivative is the exact one of the spec's Jacobians or none at all.
+    spec = dataclasses.replace(cubic_bias_system(), **{missing: None})
+    lin = linearize(spec, [1.0, 0.0], _grid(spec, 101), "rk4")
+    with pytest.raises(NotRelaxableError, match="decision Jacobians jac_f_alpha and jac_r_alpha"):
+        standard_derivative(lin)
 
 
 def test_nonstandard_zero_when_decision_free():

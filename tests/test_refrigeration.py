@@ -310,6 +310,25 @@ def test_receding_horizon_refuses_an_unknown_derivative_kind():
         run_receding_horizon(default_scenario(10, 0, num_steps=2), kind="Standard", grid_points=21)
 
 
+def test_receding_horizon_checks_its_configuration_before_slot_1(monkeypatch):
+    # The oracle route reads no kind, yet a misspelt one is still refused;
+    # a misspelt solver or scheme is refused before anything is linearized.
+    from combidyn import refrigeration
+
+    scenario = default_scenario(10, 0, num_steps=2)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        run_receding_horizon(scenario, kind="Standard", solver="oracle", grid_points=21)
+
+    def refuse(*_args):
+        raise AssertionError("slot 1 was linearized")
+
+    monkeypatch.setattr(refrigeration, "linearize", refuse)
+    for options, name in (({"solver": "oracel"}, "solver"), ({"scheme": "rk5"}, "scheme")):
+        with pytest.raises(ValueError, match=f"{name} must be one of") as err:
+            run_receding_horizon(scenario, grid_points=21, **options)
+        assert "step" not in str(err.value)
+
+
 def test_receding_horizon_zero_penalty_weights():
     sc = default_scenario(10, seed=2, num_steps=3)
     params = dataclasses.replace(sc.params, delta=np.zeros(10))

@@ -6,7 +6,6 @@ import pytest
 from combidyn import (
     ConstraintError,
     EnumerationRefusedError,
-    ExplicitSet,
     Gradient,
     InfeasibleError,
     Knapsack,
@@ -23,7 +22,7 @@ from combidyn import (
     solve_tu,
 )
 from combidyn import solvers
-from combidyn.solvers import binary_chunks, binary_rows, feasible_mask, is_feasible
+from combidyn.solvers import binary_chunks, binary_rows, feasible_mask
 
 
 def _grad(entries):
@@ -122,6 +121,16 @@ def test_tu_violation_detected_beyond_check_limit():
 def test_is_totally_unimodular():
     assert is_totally_unimodular(np.array([[1, 1, 0], [0, 1, 1]]))
     assert not is_totally_unimodular(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+
+
+def test_is_totally_unimodular_refuses_too_many_minors_before_enumerating(monkeypatch):
+    # A 12 x 12 matrix has C(24, 12) - 1 = 2,704,155 square submatrices.
+    def refuse(*_args):
+        raise AssertionError("a determinant was enumerated")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    with pytest.raises(EnumerationRefusedError, match="2704155 square submatrices"):
+        is_totally_unimodular(np.ones((12, 12)))
 
 
 def test_exclusion_budget_rows_are_tu():
@@ -235,12 +244,6 @@ def test_bruteforce_tie_breaks_lexicographically():
     assert np.array_equal(best, [0, 1])  # (0,1) < (1,0) lexicographically
 
 
-def test_bruteforce_explicit_set():
-    admissible = ExplicitSet(((0.0, 1.0), (1.0, 0.0)))
-    best, val = solve_bruteforce(lambda a: a[..., 0] * 2 + a[..., 1], admissible, 2)
-    assert np.array_equal(best, [1, 0])
-
-
 def test_bruteforce_guard():
     with pytest.raises(EnumerationRefusedError):
         solve_bruteforce(lambda a: np.zeros(len(a)), None, 25)
@@ -285,13 +288,10 @@ def _enumerator_constraints(kind, m):
         pair[:2] = 1.0
         rows = np.vstack([np.ones(m), -np.ones(m), first, -second, pair])
         return TuRows(rows, [(m + 1) // 2, -(m // 3), 1 + m // 4, -1, 1])
-    if kind == "knapsack":
-        return Knapsack(1.0 + np.arange(m) % 4, 1.5 * m)
-    rng = np.random.default_rng(m)
-    return ExplicitSet(tuple(rng.integers(0, 2, size=m) for _ in range(6)) + ((1.0,) * m,))
+    return Knapsack(1.0 + np.arange(m) % 4, 1.5 * m)
 
 
-@pytest.mark.parametrize("kind", ["none", "l0", "tu", "knapsack", "explicit"])
+@pytest.mark.parametrize("kind", ["none", "l0", "tu", "knapsack"])
 @pytest.mark.parametrize("m", [1, 5, 16, 17, 20])
 def test_enumerator_blocks_are_the_masked_table(m, kind):
     # Block by block against the masked table, read 2^16 codes at a time
@@ -343,38 +343,6 @@ def test_bruteforce_infeasible_over_every_block(m):
         assert next(binary_chunks(m, con), None) is None
         with pytest.raises(InfeasibleError):
             solve_bruteforce(lambda a: a @ never, con, m)
-
-
-@pytest.mark.parametrize("vectors", [((0.5, 1.0),), ((0.0, 1.0), (1.0, 0.0, 1.0)), ((2.0, 0.0),)])
-def test_explicit_set_rejects_non_binary_and_ragged_vectors(vectors):
-    with pytest.raises(ConstraintError):
-        ExplicitSet(vectors)
-
-
-def test_explicit_set_admits_only_its_own_vectors():
-    admissible = ExplicitSet(((0.0, 1.0),))
-    assert is_feasible(admissible, (0.0, 1.0)) and is_feasible(admissible, (-0.0, 1.0))
-    assert not is_feasible(admissible, (0.5, 1.0))
-    assert not is_feasible(admissible, (0.0, 1.0, 0.0))
-
-
-def test_explicit_enumeration_yields_its_vectors_without_the_table(monkeypatch):
-    # m = 20: the set's distinct vectors in code order, one block per
-    # 2^16-code block they fall in, and no 2^16-row table is built.
-    def refuse(*_args):
-        raise AssertionError("the explicit enumeration built a table")
-
-    monkeypatch.setattr(solvers, "_suffix_table", refuse)
-    monkeypatch.setattr(solvers, "binary_rows", refuse)
-    m = 20
-    top, low, last = np.eye(m)[0], np.eye(m)[-1], np.eye(m)[m - 17]
-    admissible = ExplicitSet((top, low, top, np.zeros(m), last))
-    blocks = list(binary_chunks(m, admissible))
-    assert [b.tolist() for b in blocks] == [[np.zeros(m).tolist(), low.tolist()], [last.tolist()], [top.tolist()]]
-    assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
-    assert list(binary_chunks(m + 1, admissible)) == []
-    best, val = solve_bruteforce(lambda a: a @ np.arange(m), admissible, m)
-    assert np.array_equal(best, low) and val == m - 1
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,19 @@ def test_decision_validation():
     integrate(nonrelax, [1.0], TimeGrid(1.0, 10))  # binary is fine
 
 
+def test_a_nan_relaxed_decision_is_outside_the_unit_box():
+    # Both bound comparisons are false for NaN; it used to pass the check
+    # and surface as a diverged state at knot 1.
+    from combidyn import build_etp_system, default_fleet
+
+    spec = build_etp_system(default_fleet(10, 0), 0.25)
+    a = np.zeros(10)
+    a[3] = np.nan
+    for alpha in (a, np.stack([np.zeros(10), a])):
+        with pytest.raises(ValueError, match="unit box"):
+            integrate(spec, alpha, TimeGrid(0.25, 21), "rk4")
+
+
 def test_payoff_terminal_only():
     spec = _const_system([5.0])
     traj = integrate(spec, [0.0], TimeGrid(1.0, 20))
