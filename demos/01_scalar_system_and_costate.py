@@ -20,10 +20,8 @@ from combidyn import (
 E = np.e
 
 spec = SystemSpec(
-    state_dim=1,
     decision_dim=1,
     initial_state=[0.0],
-    horizon=1.0,
     vector_field=lambda x, a, t: x + a[..., :1],
     running_payoff=lambda x, a, t: x[..., 0],
     terminal_payoff=lambda x: 0.0,
@@ -32,7 +30,6 @@ spec = SystemSpec(
     jac_q_x=lambda x: np.array([0.0]),
     jac_f_alpha=lambda x, a, t: np.array([[1.0]]),
     jac_r_alpha=lambda x, a, t: np.array([0.0]),
-    relaxable=True,
 )
 
 print("=== forward integration: x' = x + 1, x(0) = 0, so x(1) = e - 1 ===")

@@ -28,10 +28,8 @@ from combidyn import (
 )
 
 spec_kwargs = dict(
-    state_dim=1,
     decision_dim=2,
     initial_state=[1.0],
-    horizon=1.0,
     vector_field=lambda x, a, t: x + a[..., :1] ** 3 + 2.0 * a[..., 1:],
     running_payoff=lambda x, a, t: x[..., 0] ** 2,
     terminal_payoff=lambda x: 0.0,
@@ -42,7 +40,6 @@ spec_kwargs = dict(
         [3.0 * a[..., 0] ** 2, np.full(a.shape[:-1], 2.0)], axis=-1
     )[..., None, :],
     jac_r_alpha=lambda x, a, t: np.zeros(2),
-    relaxable=True,
 )
 from combidyn import SystemSpec
 

@@ -41,10 +41,8 @@ ctr = rng.uniform(-0.5, 0.5, n)
 d = 0.6 * rng.standard_normal(m)
 
 spec = SystemSpec(
-    state_dim=n,
     decision_dim=m,
     initial_state=0.5 * rng.uniform(-1.0, 1.0, n),
-    horizon=0.5,
     vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a),
     running_payoff=lambda x, a, t: rowdot((x - ctr) ** 2, -w) + rowdot(a, d),
     terminal_payoff=lambda x: 0.0,
@@ -53,7 +51,6 @@ spec = SystemSpec(
     jac_q_x=lambda x: np.zeros(n),
     jac_f_alpha=lambda x, a, t: B,
     jac_r_alpha=lambda x, a, t: d,
-    relaxable=True,
 )
 grid = TimeGrid(0.5, 201)
 abar = np.zeros(m)
@@ -65,7 +62,7 @@ print(" ", np.round(grad.entries, 4))
 
 print()
 print("=== the concavity inequality validates the certificate premise ===")
-report = check_concavity_inequality(payoff, abar, grad)
+report = check_concavity_inequality(payoff, grad)
 print(f"  holds over all {1 << m} binary points: {report.holds}"
       f" (worst gap {report.worst_gap:.2e})")
 

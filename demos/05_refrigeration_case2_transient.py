@@ -56,7 +56,7 @@ for res in results:
     con, _band = step_constraints(scenario, res.step)
     assert np.all(con.rows @ res.alpha <= con.rhs + 1e-9)
     base_path = integrate(spec, np.zeros(20), grid, "rk4")
-    payoff, fleet = slot_payoff(scenario, spec, grid, "rk4", base_path, fleet)
+    payoff, fleet = slot_payoff(scenario, spec, "rk4", base_path, fleet)
     greedy = solve_greedy(payoff, con, 20)
     if payoff(greedy) > res.payoff + 1e-9:
         greedy_better += 1

@@ -22,7 +22,6 @@ from .errors import AdjointDivergedError, DimensionError
 from .system import (
     SystemSpec,
     Trajectory,
-    _check_grid,
     _check_scheme,
     broadcast_result,
     decision_vector,
@@ -48,7 +47,6 @@ def solve_adjoint(
     (spec, alpha); the terminal condition is exact at the last knot.
     """
     _check_scheme(scheme)
-    _check_grid(spec, forward.grid)
     a = decision_vector(alpha, spec.decision_dim)
     X = forward.values
     if X.shape[1] != spec.state_dim:

@@ -135,10 +135,11 @@ class SetFunctionReport:
 
 
 def check_concavity_inequality(
-    payoff: Callable[[np.ndarray], np.ndarray], alpha_bar, grad: Gradient
+    payoff: Callable[[np.ndarray], np.ndarray], grad: Gradient
 ) -> SetFunctionReport:
     """Exhaustively verify  g^T (alpha - base) >= J(alpha) - J(base)  over all
-    binary vectors, the condition under which the certificate is valid.
+    binary vectors, the condition under which the certificate is valid; the
+    base is the gradient's own base point.
 
     ``payoff`` is the discrete payoff J as an objective from decision rows
     (..., m) to payoffs (...), such as ``payoff_function``; it is evaluated
@@ -153,7 +154,7 @@ def check_concavity_inequality(
         raise EnumerationRefusedError(
             f"refusing 2^{m} payoff evaluations (limit m = {_CONCAVITY_LIMIT})"
         )
-    abar = as_binary(alpha_bar, m)
+    abar = as_binary(grad.base_point, m)
     violated = []
 
     def gap(rows):

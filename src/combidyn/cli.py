@@ -242,9 +242,9 @@ def _cmd_check_concavity(config: argparse.Namespace, scenario: Scenario):
     abar = np.zeros(scenario.params.m)
     with _first_slot(config, scenario) as (spec, _con, _band, grid):
         lin = linearize(spec, abar, grid, config.scheme)
-        payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, lin.forward)
+        payoff_fn, _fleet = slot_payoff(scenario, spec, config.scheme, lin.forward)
         grad = derivative(lin, config.derivative)
-        report = check_concavity_inequality(payoff_fn, abar, grad)
+        report = check_concavity_inequality(payoff_fn, grad)
     verdict = "pass" if report.holds else "FAIL"
     return [
         f"concavity inequality ({grad.kind} derivative, {1 << abar.size} points): {verdict}",
@@ -256,7 +256,7 @@ def _cmd_check_submodular(config: argparse.Namespace, scenario: Scenario):
     m = scenario.params.m
     with _first_slot(config, scenario) as (spec, _con, _band, grid):
         base_path = integrate(spec, np.zeros(m), grid, config.scheme)
-        payoff_fn, _fleet = slot_payoff(scenario, spec, grid, config.scheme, base_path)
+        payoff_fn, _fleet = slot_payoff(scenario, spec, config.scheme, base_path)
         sub = submodularity_report(payoff_fn, m)
         mono = monotonicity_report(payoff_fn, m)
     return [

@@ -6,9 +6,15 @@ from contextlib import contextmanager
 
 class CombidynError(Exception):
     """Base class for all package errors.  One raised inside a slot's work
-    carries the slot's 1-based ``step``, which its message names last."""
+    carries the slot's 1-based ``step``, which its message names last.  A
+    scenario type's invariant error names the ``field`` it checks, as an
+    attribute path from that type (``"b"``, ``"params.c"``)."""
 
     step = None
+
+    def __init__(self, *args, field=None):
+        super().__init__(*args)
+        self.field = field
 
     def __str__(self):
         return super().__str__() + ("" if self.step is None else f" (step {self.step})")

@@ -5,7 +5,7 @@ Two derivative concepts are provided:
 * ``standard``: relax the decision into the unit box and differentiate as
   usual.  A quadrature of  jac_f_alpha^T lam + jac_r_alpha^T  along the
   base path, read from the spec's decision Jacobians.  Needs the system to
-  be relaxable and to supply both.
+  supply both, which makes it relaxable.
 
 * ``nonstandard``: vary the vector field and running payoff by convex
   combination instead of varying the decision.  Entry i weighs the field and
@@ -94,10 +94,10 @@ def standard_derivative(lin: Linearization) -> Gradient:
     """Relaxation-based derivative via the costate quadrature over the
     spec's decision Jacobians ``jac_f_alpha`` and ``jac_r_alpha``.
 
-    NotRelaxableError when the spec is not relaxable or lacks either one.
+    NotRelaxableError when the spec lacks either one.
     """
     spec = lin.spec
-    if not spec.relaxable or spec.jac_f_alpha is None or spec.jac_r_alpha is None:
+    if not spec.relaxable:
         raise NotRelaxableError(
             "the relaxation-based derivative needs a system defined on the unit box "
             "with decision Jacobians jac_f_alpha and jac_r_alpha"
@@ -114,23 +114,24 @@ def standard_derivative(lin: Linearization) -> Gradient:
     return Gradient("standard", abar, entries, lin.base_payoff)
 
 
-def costate_pairing(spec: SystemSpec, alpha_bar, alpha_to, forward, costate):
-    """Quadrature of (f(x, to) - f(x, bar))^T lam + r(x, to) - r(x, bar).
+def costate_pairing(lin: Linearization, alpha_to):
+    """Quadrature of (f(x, to) - f(x, bar))^T lam + r(x, to) - r(x, bar)
+    along the linearization's base path x and costate lam.
 
     This is the value the variational difference quotient converges to as
     the blend weight goes to zero, for an arbitrary target decision; the
     convex-combination derivative is its single-bit-flip specialization.
     A (B, m) stack of targets gives B values in one pass.
     """
-    abar = as_binary(alpha_bar, spec.decision_dim)
+    spec, abar, grid = lin.spec, lin.base_point, lin.forward.grid
     ato = as_binary(alpha_to, spec.decision_dim)
     f, r = spec.vector_field, spec.running_payoff
-    times = forward.grid.times
-    X, L = forward.values, costate.values
+    times = grid.times
+    X, L = lin.forward.values, lin.costate.values
     to = ato[..., None, :]  # targets on their own axis ahead of the knots
     df = f(X, to, times) - f(X, abar, times)
     vals = rowdot(df, L) + r(X, to, times) - r(X, abar, times)
-    return rowdot(vals, trapezoid_weights(forward.grid))
+    return rowdot(vals, trapezoid_weights(grid))
 
 
 def nonstandard_derivative(lin: Linearization) -> Gradient:
@@ -143,7 +144,7 @@ def nonstandard_derivative(lin: Linearization) -> Gradient:
     abar = lin.base_point
     flips = np.abs(abar - np.eye(abar.size))  # row i is abar with bit i flipped
     sign = np.where(abar == 0.0, 1.0, -1.0)
-    entries = sign * costate_pairing(lin.spec, abar, flips, lin.forward, lin.costate)
+    entries = sign * costate_pairing(lin, flips)
     return Gradient("nonstandard", abar, entries, lin.base_payoff)
 
 
@@ -199,10 +200,8 @@ def reformulate(spec: SystemSpec) -> SystemSpec:
         return j0 + matvec(cols, np.asarray(a, dtype=float))
 
     return SystemSpec(
-        state_dim=spec.state_dim,
         decision_dim=m,
         initial_state=spec.initial_state,
-        horizon=spec.horizon,
         vector_field=f_hat,
         running_payoff=r_hat,
         terminal_payoff=spec.terminal_payoff,
@@ -211,7 +210,6 @@ def reformulate(spec: SystemSpec) -> SystemSpec:
         jac_q_x=spec.jac_q_x,
         jac_f_alpha=lambda x, a, t: f_cols(x, t)[1],
         jac_r_alpha=lambda x, a, t: r_cols(x, t)[1],
-        relaxable=True,
     )
 
 
@@ -219,9 +217,8 @@ def finite_difference_standard(
     spec: SystemSpec, alpha_bar, i: int, h_fd: float, grid: TimeGrid, scheme: str = "euler"
 ) -> float:
     """Central-difference oracle for the relaxation-based derivative:
-    [J(bar + h e_i) - J(bar - h e_i)] / (2 h) with full relaxed integrations."""
-    if not spec.relaxable:
-        raise NotRelaxableError("finite differences in the decision need a relaxable system")
+    [J(bar + h e_i) - J(bar - h e_i)] / (2 h) with full relaxed integrations
+    (NotRelaxableError from the integration when the spec is not relaxable)."""
     abar = as_binary(alpha_bar, spec.decision_dim)
     probes = abar + h_fd * np.outer([1.0, -1.0], np.eye(spec.decision_dim)[i])
     j_hi, j_lo = evaluate_payoff(spec, integrate(spec, probes, grid, scheme), probes)

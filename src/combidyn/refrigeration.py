@@ -58,15 +58,19 @@ from .system import (
 
 _MINUTES_PER_HOUR = 60.0
 _MIN_STEP_MINUTES = 10.0  # faster ON/OFF cycling risks compressor damage
+# The per-unit vectors of EtpParams, in field (and scenario-file) order.
+_FLEET_VECTORS = ("b", "theta_ambient", "theta_lo", "theta_hi", "delta", "c", "x0")
 
 
-def _vec(x, m, name) -> np.ndarray:
+def _vec(x, m, name, field=None) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
         a = np.full(m, float(a))
     a = a.reshape(-1)
     if a.size != m:
         raise DimensionError(f"{name} must be a scalar or a length-{m} vector")
+    if not np.all(np.isfinite(a)):
+        raise ConstraintError(f"{name} entries must be finite", field=field or name)
     return a
 
 
@@ -75,12 +79,12 @@ class EtpParams:
     """Thermal fleet parameters.
 
     a[i, j] is the heat-transfer coefficient between rooms i and j (per
-    hour); a[i, i] couples room i to the ambient.  b is the cooling rate of
-    an ON unit (deg C per hour), c its power draw (kW), delta the penalty
-    weight, and [theta_lo, theta_hi] the comfort band.
+    hour); a[i, i] couples room i to the ambient, and the unit count m is
+    the order of a.  b is the cooling rate of an ON unit (deg C per hour), c
+    its power draw (kW), delta the penalty weight, and [theta_lo, theta_hi]
+    the comfort band.  Every entry must be finite.
     """
 
-    m: int
     a: np.ndarray
     b: np.ndarray
     theta_ambient: np.ndarray
@@ -91,25 +95,27 @@ class EtpParams:
     x0: np.ndarray
 
     def __post_init__(self):
-        m = self.m
-        if m < 1:
-            raise DimensionError("unit count must be positive")
         a = np.asarray(self.a, dtype=float)
-        if a.shape != (m, m):
-            raise DimensionError(f"heat-transfer matrix must be {m} x {m}")
-        if np.any(a < 0):
-            raise ConstraintError("heat-transfer coefficients must be nonnegative")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise DimensionError(f"a must be a nonempty square matrix, got shape {a.shape}", field="a")
+        if not np.all(np.isfinite(a)):
+            raise ConstraintError("a entries must be finite", field="a")
         object.__setattr__(self, "a", a)
-        for name in ("b", "theta_ambient", "theta_lo", "theta_hi", "delta", "c", "x0"):
-            object.__setattr__(self, name, _vec(getattr(self, name), m, name))
-        if np.any(self.b <= 0):
-            raise ConstraintError("cooling rates b must be positive")
+        for name in _FLEET_VECTORS:
+            object.__setattr__(self, name, _vec(getattr(self, name), self.m, name))
         if np.any(self.theta_lo >= self.theta_hi):
-            raise ConstraintError("comfort band needs theta_lo < theta_hi entrywise")
-        if np.any(self.delta < 0) or np.any(self.c < 0):
-            raise ConstraintError("penalty weights and power draws must be nonnegative")
-        if not np.all(np.isfinite(self.x0)):
-            raise ConstraintError("initial temperatures must be finite")
+            raise ConstraintError("comfort band needs theta_lo < theta_hi entrywise", field="theta_lo")
+        if np.any(a < 0):
+            raise ConstraintError("heat-transfer coefficients must be nonnegative", field="a")
+        if np.any(self.b <= 0):
+            raise ConstraintError("cooling rates b must be positive", field="b")
+        for name in ("delta", "c"):
+            if np.any(getattr(self, name) < 0):
+                raise ConstraintError("penalty weights and power draws must be nonnegative", field=name)
+
+    @property
+    def m(self) -> int:
+        return self.a.shape[0]
 
 
 def penalty(x, theta_lo, theta_hi, delta):
@@ -130,7 +136,7 @@ def _etp_matrices(params: EtpParams):
     return A, B, theta
 
 
-def _fleet_system(params: EtpParams, horizon: float, A, vector_field, jac_f_alpha) -> SystemSpec:
+def _fleet_system(params: EtpParams, A, vector_field, jac_f_alpha) -> SystemSpec:
     """The fleet system of a field with state Jacobian A and decision
     Jacobian ``jac_f_alpha``: the negated band penalty is its running
     payoff, free of the decision, and it has no terminal payoff."""
@@ -140,10 +146,8 @@ def _fleet_system(params: EtpParams, horizon: float, A, vector_field, jac_f_alph
     zero_m = np.zeros(n)
 
     return SystemSpec(
-        state_dim=n,
         decision_dim=n,
         initial_state=params.x0,
-        horizon=horizon,
         vector_field=vector_field,
         running_payoff=lambda x, a, t: -np.sum(penalty(x, lo, hi, d), axis=-1),
         terminal_payoff=lambda x: 0.0,
@@ -152,11 +156,10 @@ def _fleet_system(params: EtpParams, horizon: float, A, vector_field, jac_f_alph
         jac_q_x=lambda x: np.zeros(n),
         jac_f_alpha=jac_f_alpha,
         jac_r_alpha=lambda x, a, t: zero_m,
-        relaxable=True,
     )
 
 
-def build_etp_system(params: EtpParams, alpha_slot_horizon: float) -> SystemSpec:
+def build_etp_system(params: EtpParams) -> SystemSpec:
     """Linear fleet dynamics  x' = A x + B alpha + theta  with the negated
     band penalty as running payoff and no terminal payoff.
 
@@ -166,29 +169,27 @@ def build_etp_system(params: EtpParams, alpha_slot_horizon: float) -> SystemSpec
     """
     A, B, theta = _etp_matrices(params)
     b = params.b  # B = -diag(b): its off-diagonal products are exact zeros
-    return _fleet_system(
-        params, alpha_slot_horizon, A, lambda x, a, t: matvec(A, x) - b * a + theta, lambda x, a, t: B
-    )
+    return _fleet_system(params, A, lambda x, a, t: matvec(A, x) - b * a + theta, lambda x, a, t: B)
 
 
 def _transient_arrays(xi, members, m: int):
-    """Validated (xi, members) of a transient configuration for m units:
-    positive decay rates, unique 0-based member indices below m."""
-    xi = _vec(xi, m, "xi")
-    if np.any(xi <= 0):
-        raise ConstraintError("transient decay rates must be positive")
+    """Validated (xi, members) for m units: finite positive decay rates, unique
+    0-based member indices below m (errors name units 1-based, as files do)."""
     members = tuple(int(i) for i in members)
-    if len(set(members)) != len(members):
-        raise ConstraintError("transient member indices must be unique")
-    for i in members:
+    for j, i in enumerate(members):
         if not (0 <= i < m):
-            raise DimensionError(f"transient member index {i} out of range for m = {m}")
+            raise DimensionError(
+                f"unit index {i + 1} out of range 1..{m}", field=f"transient.members[{j}]"
+            )
+    if len(set(members)) != len(members):
+        raise ConstraintError("duplicate unit index", field="transient.members")
+    xi = _vec(xi, m, "xi", field="transient.xi")
+    if np.any(xi <= 0):
+        raise ConstraintError("transient decay rates must be positive", field="transient.xi")
     return xi, members
 
 
-def build_transient_system(
-    params: EtpParams, xi, members: Sequence[int], alpha_slot_horizon: float
-) -> SystemSpec:
+def build_transient_system(params: EtpParams, xi, members: Sequence[int]) -> SystemSpec:
     """Fleet dynamics where member units keep cooling after an OFF command.
 
     For i in ``members`` the cooling term is  -b_i exp(-xi_i (1 - u_i) t)
@@ -217,9 +218,7 @@ def build_transient_system(
         out[..., range(m), range(m)] = diag
         return out
 
-    return _fleet_system(
-        params, alpha_slot_horizon, A, lambda x, a, t: matvec(A, x) + theta - cooling(a, t), jac_f_alpha
-    )
+    return _fleet_system(params, A, lambda x, a, t: matvec(A, x) + theta - cooling(a, t), jac_f_alpha)
 
 
 @dataclass(frozen=True)
@@ -234,10 +233,13 @@ class TargetBandCase:
         hi = np.asarray(self.y_hi, dtype=float).reshape(-1)
         if lo.size != hi.size:
             raise DimensionError("y_lo and y_hi must have the same length")
+        for name, v in (("y_lo", lo), ("y_hi", hi)):
+            if not np.all(np.isfinite(v)):
+                raise ConstraintError(f"{name} entries must be finite", field=name)
         if np.any(lo < 0) or np.any(hi < 0):
-            raise ConstraintError("target bands must be nonnegative")
+            raise ConstraintError("target bands must be nonnegative", field="y_lo")
         if np.any(lo > hi):
-            raise ConstraintError("target band needs y_lo <= y_hi")
+            raise ConstraintError("target band needs y_lo <= y_hi", field="y_lo")
         object.__setattr__(self, "y_lo", lo)
         object.__setattr__(self, "y_hi", hi)
 
@@ -282,9 +284,11 @@ class Scenario:
     transient: Optional[TransientConfig] = None
 
     def __post_init__(self):
+        if not math.isfinite(self.step_minutes):
+            raise ConstraintError("step_minutes must be finite", field="step_minutes")
         if self.step_minutes < _MIN_STEP_MINUTES:
             raise ConstraintError(
-                f"step_minutes must be at least {_MIN_STEP_MINUTES} minutes"
+                f"step_minutes must be at least {_MIN_STEP_MINUTES} minutes", field="step_minutes"
             )
         if self.num_steps < 1:
             raise ConstraintError("num_steps must be positive")
@@ -294,9 +298,13 @@ class Scenario:
                 raise DimensionError("target band length must equal num_steps")
             c = self.params.c
             if not np.allclose(c, c[0]):
-                raise ConstraintError("the target-band encodings need uniform unit power draws")
+                raise ConstraintError(
+                    "the target-band encodings need uniform unit power draws", field="params.c"
+                )
             if c[0] <= 0:
-                raise ConstraintError("unit power draw must be positive for a power band")
+                raise ConstraintError(
+                    "unit power draw must be positive for a power band", field="params.c"
+                )
         elif isinstance(self.case, TuCase):
             if self.case.rows.shape[1] != self.params.m:
                 raise DimensionError("operation rows must have one column per unit")
@@ -351,6 +359,11 @@ class QuadraticPayoff:
         return v if np.ndim(v) else float(v)
 
 
+def _check_knots(path: np.ndarray, grid: TimeGrid, name: str) -> None:
+    if path.shape[0] != grid.num_points:
+        raise DimensionError(f"{name}: {path.shape[0]} knots, but the grid has {grid.num_points}")
+
+
 @dataclass(frozen=True)
 class FleetQuadratic:
     """The part of a fleet's quadratic slot payoff that no slot changes.
@@ -377,6 +390,7 @@ class FleetQuadratic:
     quadratic: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_knots(self.sens, self.grid, "sensitivities")
         m = self.sens.shape[-1]
         weights = 2.0 * trapezoid_weights(self.grid)[:, None] * self.params.delta
         product = (self.sens * weights[..., None]).reshape(-1, m).T @ self.sens.reshape(-1, m)
@@ -388,6 +402,7 @@ class FleetQuadratic:
         """The quadratic payoff of the slot whose all-off path is ``base``
         (N, n): its ``constant`` and ``linear`` terms over the fleet's
         sensitivities and Hessian."""
+        _check_knots(base, self.grid, "all-off path")
         w = trapezoid_weights(self.grid)
         p = self.params
         lo, hi, d = p.theta_lo, p.theta_hi, p.delta
@@ -398,9 +413,7 @@ class FleetQuadratic:
         return QuadraticPayoff(constant, linear, self.quadratic)
 
 
-def quadratic_payoff_model(
-    params: EtpParams, horizon: float, grid: TimeGrid, scheme: str = "euler"
-) -> QuadraticPayoff:
+def quadratic_payoff_model(params: EtpParams, grid: TimeGrid, scheme: str = "euler") -> QuadraticPayoff:
     """Reduce the discrete slot payoff of the fleet without transient members
     to a quadratic form: the one-shot reference for :func:`slot_payoff`.
 
@@ -413,7 +426,7 @@ def quadratic_payoff_model(
     :class:`FleetQuadratic` and its :meth:`~FleetQuadratic.model`; a
     receding horizon builds the first once.
     """
-    base, sens = affine_state_model(build_etp_system(params, horizon), grid, scheme)
+    base, sens = affine_state_model(build_etp_system(params), grid, scheme)
     return FleetQuadratic(params, grid, sens).model(base)
 
 
@@ -479,7 +492,6 @@ def default_fleet(m: int, seed: int) -> EtpParams:
             b[sl] = _B_COOL * (1.0 + rng.uniform(-0.1, 0.1, _BLOCK))
             x0[sl] = _NOMINAL_X0 * (1.0 + rng.uniform(-0.1, 0.1, _BLOCK))
     return EtpParams(
-        m=m,
         a=a,
         b=b,
         theta_ambient=np.full(m, _AMBIENT_C),
@@ -596,10 +608,8 @@ def step_constraints(scenario: Scenario, k: int):
 def step_system(scenario: Scenario, x_now: np.ndarray) -> SystemSpec:
     params = replace(scenario.params, x0=x_now)
     if scenario.transient is None:
-        return build_etp_system(params, scenario.step_hours)
-    return build_transient_system(
-        params, scenario.transient.xi, scenario.transient.members, scenario.step_hours
-    )
+        return build_etp_system(params)
+    return build_transient_system(params, scenario.transient.xi, scenario.transient.members)
 
 
 # Solvers of the linearized slot program.  The horizon's choices widen both
@@ -660,12 +670,13 @@ def slot_picks(spec: SystemSpec, alpha_bar, con: TuRows, band, kinds, solver, gr
     return picks
 
 
-def slot_payoff(scenario: Scenario, spec: SystemSpec, grid, scheme, base_path, fleet=None):
+def slot_payoff(scenario: Scenario, spec: SystemSpec, scheme, base_path: Trajectory, fleet=None):
     """(objective, fleet): the exact discrete payoff of one slot over binary
     decision rows (..., m), ``fleet.model`` on the slot's all-off
-    ``base_path``, exact for both fleets (see :class:`FleetQuadratic`).
-    ``fleet`` is probed from ``spec`` when None and kept for later slots."""
+    ``base_path``, exact for both fleets (see :class:`FleetQuadratic`);
+    ``fleet`` is probed on that path's grid when None, for later slots."""
     if fleet is None:
+        grid = base_path.grid
         fleet = FleetQuadratic(scenario.params, grid, affine_state_model(spec, grid, scheme)[1])
     return fleet.model(base_path.values).value, fleet
 
@@ -719,7 +730,7 @@ def run_receding_horizon(
                 base_payoff = cert.base_payoff
                 rho, rho_post, optimal = cert.rho, cert.rho_post, cert.optimal
             if with_oracle or solver == "oracle":
-                objective, fleet = slot_payoff(scenario, spec, grid, scheme, base_path, fleet)
+                objective, fleet = slot_payoff(scenario, spec, scheme, base_path, fleet)
                 optimum, best = solve_bruteforce(objective, con, m)
             if solver == "oracle":
                 base_payoff = evaluate_payoff(spec, base_path, abar)

@@ -33,8 +33,9 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import CombidynError, ConstraintError, DimensionError, ScenarioError
+from .errors import ConstraintError, DimensionError, ScenarioError
 from .refrigeration import (
+    _FLEET_VECTORS,
     EtpParams,
     Scenario,
     TargetBandCase,
@@ -43,7 +44,6 @@ from .refrigeration import (
 )
 
 SCHEMA_VERSION = 1
-_FLEET_VECTORS = ("b", "theta_ambient", "theta_lo", "theta_hi", "delta", "c", "x0")
 # libyaml composes the same node graph, marks included, an order of magnitude faster.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -137,12 +137,24 @@ def _matrix(node: _Node, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def _built(build, nodes: dict, enclosing: _Node, *args, **kwargs):
+    """``build(*args, **kwargs)`` for a scenario type.  An invariant error
+    naming a field in ``nodes`` becomes a ScenarioError at its path and line;
+    any other keeps its type and gains the path and line of ``enclosing``."""
+    try:
+        return build(*args, **kwargs)
+    except (ConstraintError, DimensionError) as exc:
+        if exc.field in nodes:
+            raise nodes[exc.field].fail(str(exc)) from exc
+        raise type(exc)(f"{enclosing.path} (line {enclosing.line}): {exc}") from exc
+
+
 def parse_scenario(path: str) -> Scenario:
     """Parse and fully validate a scenario file.
 
     Every error carries the offending field path and line; unknown keys are
-    rejected.  Invariant violations from the scenario types are re-raised
-    with file context.
+    rejected.  The scenario types check their own invariants once, and the
+    parser points each error at the field it names.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -166,35 +178,34 @@ def parse_scenario(path: str) -> Scenario:
     m = _take(fleet, "m", fleet_node).scalar_int()
     if m < 1:
         raise fleet_node.fail("m must be positive")
-    a = _matrix(_take(fleet, "a", fleet_node), m, m)
-    nodes, vectors = {}, {}
+    nodes = {"a": _take(fleet, "a", fleet_node)}
+    a = _matrix(nodes["a"], m, m)
+    vectors = {}
     for name in _FLEET_VECTORS:
         nodes[name] = _take(fleet, name, fleet_node)
         vectors[name] = _vector(nodes[name], m, name)
     _reject_unknown(fleet)
-
-    if np.any(vectors["theta_lo"] >= vectors["theta_hi"]):
-        raise nodes["theta_lo"].fail("comfort band needs theta_lo < theta_hi entrywise")
+    params = _built(EtpParams, nodes, fleet_node, a=a, **vectors)
 
     schedule_node = _take(top, "schedule", root)
     schedule = schedule_node.mapping()
-    step_minutes = _take(schedule, "step_minutes", schedule_node).scalar_float()
-    num_steps = _take(schedule, "num_steps", schedule_node).scalar_int()
+    step_node = _take(schedule, "step_minutes", schedule_node)
+    step_minutes = step_node.scalar_float()
+    steps_node = _take(schedule, "num_steps", schedule_node)
+    num_steps = steps_node.scalar_int()
+    if num_steps < 1:  # the case's vectors have num_steps entries
+        raise steps_node.fail("num_steps must be positive")
     _reject_unknown(schedule)
 
     case_node = _take(top, "case", root)
     case_fields = case_node.mapping()
     kind = _take(case_fields, "kind", case_node).scalar_str()
+    case_nodes = {}
     if kind == "target_band":
-        y_lo_node = _take(case_fields, "y_lo", case_node)
-        y_lo = _vector(y_lo_node, num_steps, "y_lo")
-        y_hi = _vector(_take(case_fields, "y_hi", case_node), num_steps, "y_hi")
+        case_nodes = {name: _take(case_fields, name, case_node) for name in ("y_lo", "y_hi")}
+        case_args = [_vector(node, num_steps, name) for name, node in case_nodes.items()]
         _reject_unknown(case_fields)
-        if np.any(y_lo < 0) or np.any(y_hi < 0):
-            raise y_lo_node.fail("target bands must be nonnegative")
-        if np.any(y_lo > y_hi):
-            raise y_lo_node.fail("target band needs y_lo <= y_hi")
-        case_type, case_args = TargetBandCase, (y_lo, y_hi)
+        case_type = TargetBandCase
     elif kind == "tu":
         q_node = _take(case_fields, "Q", case_node)
         # Peek at the declared row count, then parse with the full helper.
@@ -206,43 +217,27 @@ def parse_scenario(path: str) -> Scenario:
         case_type, case_args = TuCase, (Q, r, z_bar)
     else:
         raise case_node.fail(f"unknown case kind {kind!r}")
-    try:
-        case = case_type(*case_args)
-    except (ConstraintError, DimensionError) as exc:
-        # The case's own invariants keep their type (and exit code) and gain
-        # the field path and line.
-        raise type(exc)(f"{case_node.path} (line {case_node.line}): {exc}") from exc
+    case = _built(case_type, case_nodes, case_node, *case_args)
 
+    # The fields a Scenario's own checks name, as they name them.
+    scenario_nodes = {"step_minutes": step_node, "params.c": nodes["c"]}
     transient: Optional[TransientConfig] = None
     if "transient" in top:
         tr_node = top.pop("transient")
         tr = tr_node.mapping()
-        xi = _vector(_take(tr, "xi", tr_node), m, "xi")
+        xi_node = _take(tr, "xi", tr_node)
+        xi = _vector(xi_node, m, "xi")
         members_node = _take(tr, "members", tr_node)
         _reject_unknown(tr)
-        member_items = members_node.sequence()
-        members = []
-        for it in member_items:
-            unit = it.scalar_int()
-            if not (1 <= unit <= m):
-                raise it.fail(f"unit index {unit} out of range 1..{m}")
-            members.append(unit - 1)  # files are 1-based
-        if len(set(members)) != len(members):
-            raise members_node.fail("duplicate unit index")
-        transient = TransientConfig(xi, tuple(members))
+        items = members_node.sequence()
+        scenario_nodes.update({"transient.xi": xi_node, "transient.members": members_node})
+        scenario_nodes.update((f"transient.members[{j}]", it) for j, it in enumerate(items))
+        transient = TransientConfig(xi, tuple(it.scalar_int() - 1 for it in items))  # files are 1-based
 
     _reject_unknown(top)
 
-    try:
-        return Scenario(
-            params=EtpParams(m=m, a=a, **vectors),
-            step_minutes=step_minutes,
-            num_steps=num_steps,
-            case=case,
-            transient=transient,
-        )
-    except CombidynError as exc:
-        raise ScenarioError("scenario", str(exc), root.line) from exc
+    return _built(Scenario, scenario_nodes, root, params=params, step_minutes=step_minutes,
+                  num_steps=num_steps, case=case, transient=transient)
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:

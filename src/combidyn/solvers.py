@@ -74,9 +74,9 @@ def is_totally_unimodular(Q) -> bool:
 
 def integer_array(values, name: str) -> np.ndarray:
     """``values`` rounded to integers; ConstraintError when any entry is
-    further than 1e-9 from an integer."""
+    not finite or further than 1e-9 from an integer."""
     a = np.asarray(values, dtype=float)
-    if not np.allclose(a, np.round(a), atol=1e-9):
+    if not (np.all(np.isfinite(a)) and np.allclose(a, np.round(a), atol=1e-9)):
         raise ConstraintError(f"{name} must be integer")
     return np.round(a)
 

@@ -117,18 +117,16 @@ class SystemSpec:
     dependence (e.g. transient actuator behavior) fit the same interface;
     autonomous systems simply ignore it.
 
-    relaxable=True declares that ``vector_field`` and ``running_payoff``
-    accept fractional decision vectors in the unit box, which the
-    relaxation-based derivative needs; that derivative reads the decision
-    Jacobians ``jac_f_alpha`` and ``jac_r_alpha``, so it needs both too.
-    The convex-combination derivative never evaluates off binary points and
-    works either way.
+    The state dimension is len(initial_state); the horizon is the grid's.
+    A spec supplying both decision Jacobians ``jac_f_alpha`` and
+    ``jac_r_alpha`` is relaxable: its field and running payoff accept
+    fractional decisions in the unit box, which the relaxation-based
+    derivative needs.  Otherwise it accepts binary decisions only, which
+    the convex-combination derivative never leaves.
     """
 
-    state_dim: int
     decision_dim: int
     initial_state: np.ndarray
-    horizon: float
     vector_field: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     running_payoff: Callable[[np.ndarray, np.ndarray, float], float]
     terminal_payoff: Callable[[np.ndarray], float]
@@ -137,7 +135,6 @@ class SystemSpec:
     jac_q_x: Callable[[np.ndarray], np.ndarray]
     jac_f_alpha: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     jac_r_alpha: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
-    relaxable: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -145,13 +142,14 @@ class SystemSpec:
         )
         if self.state_dim < 1 or self.decision_dim < 1:
             raise DimensionError("state_dim and decision_dim must be positive")
-        if self.initial_state.size != self.state_dim:
-            raise DimensionError(
-                f"initial state has length {self.initial_state.size}, "
-                f"expected {self.state_dim}"
-            )
-        if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
-            raise DimensionError("horizon must be a positive finite number")
+
+    @property
+    def state_dim(self) -> int:
+        return self.initial_state.size
+
+    @property
+    def relaxable(self) -> bool:
+        return self.jac_f_alpha is not None and self.jac_r_alpha is not None
 
 
 @dataclass(frozen=True)
@@ -172,13 +170,6 @@ class Trajectory:
 def _check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-
-
-def _check_grid(spec: SystemSpec, grid: TimeGrid) -> None:
-    if not np.isclose(grid.horizon, spec.horizon, rtol=1e-12, atol=0.0):
-        raise DimensionError(
-            f"grid horizon {grid.horizon} does not match system horizon {spec.horizon}"
-        )
 
 
 def _check_decision(spec: SystemSpec, alpha) -> np.ndarray:
@@ -225,7 +216,6 @@ def integrate(spec: SystemSpec, alpha, grid: TimeGrid, scheme: str = "euler") ->
     derivatives consistent with the discrete payoff actually computed.
     """
     _check_scheme(scheme)
-    _check_grid(spec, grid)
     a = _check_decision(spec, alpha)
     times = grid.times
     x = np.array(np.broadcast_to(spec.initial_state, a.shape[:-1] + (spec.state_dim,)))
@@ -252,7 +242,6 @@ def evaluate_payoff(spec: SystemSpec, traj: Trajectory, alpha):
     """Trajectory payoff: trapezoid rule on the shared grid plus the
     terminal payoff at the final knot.  A stacked (N, B, n) path with (B, m)
     decisions gives B payoffs, a single path a float."""
-    _check_grid(spec, traj.grid)
     X = traj.values
     if X.shape[-1] != spec.state_dim:
         raise DimensionError(
@@ -350,5 +339,4 @@ def blended_system(spec: SystemSpec, alpha_base, alpha_dir, epsilon: float) -> S
         jac_r_x=blend(spec.jac_r_x),
         jac_f_alpha=None,
         jac_r_alpha=None,
-        relaxable=False,
     )

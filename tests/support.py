@@ -6,8 +6,12 @@ import numpy as np
 
 from combidyn import SystemSpec, affine_state_model, matvec, rowdot, trapezoid_weights
 
+# The horizon the random_* systems are scaled for; the other builders' closed
+# forms are stated at t = 1.
+RANDOM_HORIZON = 0.5
 
-def scalar_exp_system(x0=1.0, horizon=1.0, terminal=False):
+
+def scalar_exp_system(x0=1.0, terminal=False):
     """x' = x with r = x (or q = x when terminal=True); payoff pieces have
     closed forms in exp."""
 
@@ -18,10 +22,8 @@ def scalar_exp_system(x0=1.0, horizon=1.0, terminal=False):
         return np.array([1.0]) if terminal else np.array([0.0])
 
     return SystemSpec(
-        state_dim=1,
         decision_dim=1,
         initial_state=[x0],
-        horizon=horizon,
         vector_field=lambda x, a, t: x,
         running_payoff=(lambda x, a, t: 0.0) if terminal else (lambda x, a, t: x[..., 0]),
         terminal_payoff=q,
@@ -32,17 +34,14 @@ def scalar_exp_system(x0=1.0, horizon=1.0, terminal=False):
         jac_q_x=jac_q,
         jac_f_alpha=lambda x, a, t: np.array([[0.0]]),
         jac_r_alpha=lambda x, a, t: np.array([0.0]),
-        relaxable=True,
     )
 
 
-def scalar_affine_system(x0=0.0, horizon=1.0):
+def scalar_affine_system(x0=0.0):
     """x' = x + alpha_1, r = x, q = 0; the simplest decision-affine system."""
     return SystemSpec(
-        state_dim=1,
         decision_dim=1,
         initial_state=[x0],
-        horizon=horizon,
         vector_field=lambda x, a, t: x + a[..., :1],
         running_payoff=lambda x, a, t: x[..., 0],
         terminal_payoff=lambda x: 0.0,
@@ -51,19 +50,16 @@ def scalar_affine_system(x0=0.0, horizon=1.0):
         jac_q_x=lambda x: np.array([0.0]),
         jac_f_alpha=lambda x, a, t: np.array([[1.0]]),
         jac_r_alpha=lambda x, a, t: np.array([0.0]),
-        relaxable=True,
     )
 
 
-def cubic_bias_system(x0=1.0, horizon=1.0):
+def cubic_bias_system(x0=1.0):
     """x' = x + a1^3 + 2 a2, r = x^2, q = 0.  The cubic term inflates the
     relaxed derivative's first entry at a1 = 1 while the convex-combination
     derivative sees only the unit secant."""
     return SystemSpec(
-        state_dim=1,
         decision_dim=2,
         initial_state=[x0],
-        horizon=horizon,
         vector_field=lambda x, a, t: x + a[..., :1] ** 3 + 2.0 * a[..., 1:],
         running_payoff=lambda x, a, t: x[..., 0] ** 2,
         terminal_payoff=lambda x: 0.0,
@@ -74,18 +70,15 @@ def cubic_bias_system(x0=1.0, horizon=1.0):
             [3.0 * a[..., 0] ** 2, np.full(a.shape[:-1], 2.0)], axis=-1
         )[..., None, :],
         jac_r_alpha=lambda x, a, t: np.zeros(2),
-        relaxable=True,
     )
 
 
-def exp_additive_system(m=3, x0=0.0, horizon=1.0):
+def exp_additive_system(m=3, x0=0.0):
     """x' = x + sum_i exp(-a_i), r = x, q = 0: additive but not affine in the
     decision, so the two derivative concepts differ."""
     return SystemSpec(
-        state_dim=1,
         decision_dim=m,
         initial_state=[x0],
-        horizon=horizon,
         vector_field=lambda x, a, t: x + np.sum(np.exp(-a), axis=-1, keepdims=True),
         running_payoff=lambda x, a, t: x[..., 0],
         terminal_payoff=lambda x: 0.0,
@@ -94,11 +87,10 @@ def exp_additive_system(m=3, x0=0.0, horizon=1.0):
         jac_q_x=lambda x: np.array([0.0]),
         jac_f_alpha=lambda x, a, t: -np.exp(-a)[..., None, :],
         jac_r_alpha=lambda x, a, t: np.zeros(m),
-        relaxable=True,
     )
 
 
-def coupled_square_system(sign=-1.0, horizon=1.0):
+def coupled_square_system(sign=-1.0):
     """f = (x1 + a1 + 2, x2 + a2), r = sign * (x1 - x2)^2, q = 0, x(0) = 0.
 
     With sign = -1 the payoff is concave but not submodular as a set
@@ -113,10 +105,8 @@ def coupled_square_system(sign=-1.0, horizon=1.0):
         return np.stack([d, -d], axis=-1)
 
     return SystemSpec(
-        state_dim=2,
         decision_dim=2,
         initial_state=[0.0, 0.0],
-        horizon=horizon,
         vector_field=lambda x, a, t: x + a + [2.0, 0.0],
         running_payoff=r,
         terminal_payoff=lambda x: 0.0,
@@ -125,14 +115,13 @@ def coupled_square_system(sign=-1.0, horizon=1.0):
         jac_q_x=lambda x: np.zeros(2),
         jac_f_alpha=lambda x, a, t: np.eye(2),
         jac_r_alpha=lambda x, a, t: np.zeros(2),
-        relaxable=True,
     )
 
 
-def random_poly_system(rng, n, m, horizon=0.5):
+def random_poly_system(rng, n, m):
     """Random degree-2 polynomial field and payoff with exact Jacobians.
 
-    Coefficients are scaled so trajectories stay tame over the horizon.
+    Coefficients are scaled so trajectories stay tame over RANDOM_HORIZON.
     """
     A = 0.3 * rng.standard_normal((n, n)) - 0.2 * np.eye(n)
     B = 0.6 * rng.standard_normal((n, m))
@@ -203,10 +192,8 @@ def random_poly_system(rng, n, m, horizon=0.5):
         return qx + matvec(Qxx + Qxx.T, x)
 
     return SystemSpec(
-        state_dim=n,
         decision_dim=m,
         initial_state=x0,
-        horizon=horizon,
         vector_field=f,
         running_payoff=r,
         terminal_payoff=q,
@@ -215,11 +202,10 @@ def random_poly_system(rng, n, m, horizon=0.5):
         jac_q_x=jac_q_x,
         jac_f_alpha=jac_f_alpha,
         jac_r_alpha=jac_r_alpha,
-        relaxable=True,
     )
 
 
-def random_nonrelaxable_system(rng, n, m, horizon=0.5):
+def random_nonrelaxable_system(rng, n, m):
     """Field and payoff defined through per-bit lookup tables: meaningful only
     at binary decisions, so only the convex-combination derivative applies.
     The bit tables also gate state-coupled terms, so blending two fields is
@@ -256,21 +242,18 @@ def random_nonrelaxable_system(rng, n, m, horizon=0.5):
         return rx + slope[..., None] * np.eye(n)[0]
 
     return SystemSpec(
-        state_dim=n,
         decision_dim=m,
         initial_state=x0,
-        horizon=horizon,
         vector_field=f,
         running_payoff=r,
         terminal_payoff=lambda x: rowdot(x, qx),
         jac_f_x=jac_f_x,
         jac_r_x=jac_r_x,
         jac_q_x=lambda x: qx,
-        relaxable=False,
     )
 
 
-def random_additive_system(rng, n, m, horizon=0.5):
+def random_additive_system(rng, n, m):
     """f = A x + sum_i phi_i(a_i) v_i + c with nonlinear scalar phi_i, and an
     additive running payoff: additive across decision entries but not affine."""
     A = 0.3 * rng.standard_normal((n, n)) - 0.2 * np.eye(n)
@@ -295,10 +278,8 @@ def random_additive_system(rng, n, m, horizon=0.5):
         return rcurve * np.cos(np.asarray(a, dtype=float))
 
     return SystemSpec(
-        state_dim=n,
         decision_dim=m,
         initial_state=x0,
-        horizon=horizon,
         vector_field=lambda x, a, t: matvec(A, x) + matvec(V, phi(a)) + c0,
         running_payoff=lambda x, a, t: rowdot(x, rx) + np.sum(psi(a), axis=-1),
         terminal_payoff=lambda x: 0.0,
@@ -307,11 +288,10 @@ def random_additive_system(rng, n, m, horizon=0.5):
         jac_q_x=lambda x: np.zeros(n),
         jac_f_alpha=lambda x, a, t: V * dphi(a)[..., None, :],
         jac_r_alpha=lambda x, a, t: dpsi(a),
-        relaxable=True,
     )
 
 
-def random_affine_system(rng, n, m, horizon=0.5):
+def random_affine_system(rng, n, m):
     """f and r jointly affine in the decision (f also linear in state up to a
     shift), where the two derivative concepts must coincide."""
     A = 0.3 * rng.standard_normal((n, n)) - 0.2 * np.eye(n)
@@ -324,10 +304,8 @@ def random_affine_system(rng, n, m, horizon=0.5):
     x0 = 0.5 * rng.uniform(-1.0, 1.0, n)
 
     return SystemSpec(
-        state_dim=n,
         decision_dim=m,
         initial_state=x0,
-        horizon=horizon,
         vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a) + c0,
         running_payoff=lambda x, a, t: rowdot(x, rx) + rowdot(a, ra) + rowdot(matvec(Rxx.T, x), x),
         terminal_payoff=lambda x: rowdot(x, qx),
@@ -336,11 +314,10 @@ def random_affine_system(rng, n, m, horizon=0.5):
         jac_q_x=lambda x: qx,
         jac_f_alpha=lambda x, a, t: B,
         jac_r_alpha=lambda x, a, t: ra,
-        relaxable=True,
     )
 
 
-def random_concave_instance(rng, n, m, horizon=0.5):
+def random_concave_instance(rng, n, m):
     """Linear field with separable concave penalties, so the discrete payoff
     is an exactly concave (quadratic) function of the decision.
 
@@ -358,10 +335,8 @@ def random_concave_instance(rng, n, m, horizon=0.5):
     x0 = 0.5 * rng.uniform(-1.0, 1.0, n)
 
     spec = SystemSpec(
-        state_dim=n,
         decision_dim=m,
         initial_state=x0,
-        horizon=horizon,
         vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a) + c0,
         running_payoff=lambda x, a, t: rowdot((x - ctr_run) ** 2, -w_run) + rowdot(a, d_lin),
         terminal_payoff=lambda x: rowdot((x - ctr_term) ** 2, -w_term),
@@ -370,7 +345,6 @@ def random_concave_instance(rng, n, m, horizon=0.5):
         jac_q_x=lambda x: -2.0 * w_term * (x - ctr_term),
         jac_f_alpha=lambda x, a, t: B,
         jac_r_alpha=lambda x, a, t: d_lin,
-        relaxable=True,
     )
     pieces = {
         "w_run": w_run,

@@ -47,6 +47,7 @@ from combidyn import (
 )
 
 from support import (
+    RANDOM_HORIZON,
     concave_quadratic_oracle,
     coupled_square_system,
     cubic_bias_system,
@@ -110,7 +111,7 @@ def test_criterion_02_gradient_correctness():
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 7))
         spec = random_poly_system(rng, n, m)
-        grid = TimeGrid(spec.horizon, 401)
+        grid = TimeGrid(RANDOM_HORIZON, 401)
         abar = rng.integers(0, 2, m).astype(float)
         grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
         for i in range(m):
@@ -131,7 +132,7 @@ def test_criterion_03_nonstandard_limit():
             spec = random_nonrelaxable_system(rng, n, m)
         else:
             spec = random_poly_system(rng, n, m)
-        grid = TimeGrid(spec.horizon, 401)
+        grid = TimeGrid(RANDOM_HORIZON, 401)
         abar = rng.integers(0, 2, m).astype(float)
         i = int(rng.integers(0, m))
         grad = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
@@ -154,12 +155,12 @@ def test_criterion_04_affine_equivalence():
 
     for _ in range(10):
         spec = random_affine_system(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
-        grid = TimeGrid(spec.horizon, 301)
+        grid = TimeGrid(RANDOM_HORIZON, 301)
         abar = rng.integers(0, 2, spec.decision_dim).astype(float)
         g_std = standard_derivative(linearize(spec, abar, grid, "rk4"))
         g_ns = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
         worst = max(worst, float(np.max(np.abs(g_std.entries - g_ns.entries))))
-    fleet = build_etp_system(default_fleet(20, seed=7), 0.25)
+    fleet = build_etp_system(default_fleet(20, seed=7))
     grid = TimeGrid(0.25, 201)
     for abar in (np.zeros(20), rng.integers(0, 2, 20).astype(float)):
         g_std = standard_derivative(linearize(fleet, abar, grid, "rk4"))
@@ -178,7 +179,7 @@ def test_criterion_05_reformulation_identities():
         n = int(rng.integers(1, 4))
         spec = random_additive_system(rng, n, m)
         hat = reformulate(spec)
-        grid = TimeGrid(spec.horizon, 41)
+        grid = TimeGrid(RANDOM_HORIZON, 41)
         for bits in itertools.product((0.0, 1.0), repeat=m):
             a = np.array(bits)
             j = evaluate_payoff(spec, integrate(spec, a, grid), a)
@@ -194,7 +195,7 @@ def test_criterion_05_reformulation_identities():
 
 @criterion(6, "cubic-bias example: derivative kinds pick different optima")
 def test_criterion_06_bias_example():
-    spec = cubic_bias_system(x0=1.0, horizon=1.0)
+    spec = cubic_bias_system(x0=1.0)
     grid = TimeGrid(1.0, 801)
     abar = np.array([1.0, 1.0])
 
@@ -234,7 +235,7 @@ def test_criterion_07_certificates():
     for trial in range(200):
         n, m = int(rng.integers(2, 4)), int(rng.integers(3, 11))
         spec, pieces = random_concave_instance(rng, n, m)
-        grid = TimeGrid(spec.horizon, 201)
+        grid = TimeGrid(RANDOM_HORIZON, 201)
         _c0, _g, _H, batch = concave_quadratic_oracle(spec, pieces, grid, "rk4")
         if trial % 20 == 0:
             a_spot = rng.integers(0, 2, m).astype(float)
@@ -375,7 +376,7 @@ def test_criterion_11_case_two():
             assert res.oracle_ratio + 1e-9 >= res.rho_post
         ratios.append(res.oracle_ratio)
         params = dataclasses.replace(sc.params, x0=x)
-        model = quadratic_payoff_model(params, sc.step_hours, grid, "rk4")
+        model = quadratic_payoff_model(params, grid, "rk4")
         greedy = solve_greedy(model.value, TuRows(sc.case.rows, rhs), 20)
         if res.payoff >= model.value(greedy) - 1e-9:
             greedy_wins += 1
@@ -393,7 +394,7 @@ def test_criterion_12_transient_comparison():
     params = default_fleet(20, seed=7)
     members = transient_members(20)
     xi = 100.0
-    spec = build_transient_system(params, xi, members, 0.25)
+    spec = build_transient_system(params, xi, members)
 
     fine = TimeGrid(0.25, 1001)
     rng = np.random.default_rng(1007)

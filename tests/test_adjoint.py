@@ -13,7 +13,7 @@ from combidyn import (
     solve_adjoint,
 )
 
-from support import random_nonrelaxable_system, random_poly_system, scalar_exp_system
+from support import RANDOM_HORIZON, random_nonrelaxable_system, random_poly_system, scalar_exp_system
 
 E = np.e
 
@@ -122,7 +122,7 @@ def test_endpoint_blend_costate_equals_plain_costate(make, scheme):
     # the base (direction) decision exactly, so its forward path and costate
     # are that decision's bit for bit.
     spec = make(np.random.default_rng(11), 3, 4)
-    grid = TimeGrid(spec.horizon, 101)
+    grid = TimeGrid(RANDOM_HORIZON, 101)
     abar, ato = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0, 1.0])
     for eps, plain in ((0.0, abar), (1.0, ato)):
         blend = blended_system(spec, abar, ato, eps)

@@ -25,6 +25,7 @@ from combidyn import (
 )
 
 from support import (
+    RANDOM_HORIZON,
     concave_quadratic_oracle,
     coupled_square_system,
     random_concave_instance,
@@ -34,13 +35,13 @@ from support import (
 E = np.e
 
 
-def _grid(spec, n=401):
-    return TimeGrid(spec.horizon, n)
+def _grid(n=401, horizon=1.0):
+    return TimeGrid(horizon, n)
 
 
 def test_certify_zero_gain_flags_base_optimal():
     spec = scalar_affine_system()
-    grid = _grid(spec)
+    grid = _grid()
     abar = np.zeros(1)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     cert = certify(spec, abar, grad, abar, integrate(spec, abar, grid, "rk4"))
@@ -51,7 +52,7 @@ def test_certify_zero_gain_flags_base_optimal():
 
 def test_certify_post_processing_is_exact_max():
     spec = scalar_affine_system()
-    grid = _grid(spec)
+    grid = _grid()
     abar = np.zeros(1)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     astar = np.ones(1)
@@ -63,7 +64,7 @@ def test_certify_post_processing_is_exact_max():
 
 def test_certify_base_point_mismatch():
     spec = scalar_affine_system()
-    grid = _grid(spec)
+    grid = _grid()
     grad = standard_derivative(linearize(spec, np.zeros(1), grid, "rk4"))
     with pytest.raises(DimensionError):
         certify(spec, np.ones(1), grad, np.ones(1), integrate(spec, np.ones(1), grid, "rk4"))
@@ -92,7 +93,7 @@ def test_certificate_bound_on_concave_instances(seed):
     rng = np.random.default_rng(900 + seed)
     n, m = int(rng.integers(2, 4)), int(rng.integers(3, 9))
     spec, pieces = random_concave_instance(rng, n, m)
-    grid = _grid(spec)
+    grid = _grid(401, RANDOM_HORIZON)
     _c0, _g, _H, batch = concave_quadratic_oracle(spec, pieces, grid, "rk4")
 
     abar = np.zeros(m)
@@ -112,30 +113,30 @@ def test_certificate_bound_on_concave_instances(seed):
 def test_concavity_check_passes_on_concave_instance():
     rng = np.random.default_rng(42)
     spec, pieces = random_concave_instance(rng, 2, 4)
-    grid = _grid(spec)
+    grid = _grid(401, RANDOM_HORIZON)
     abar = np.zeros(4)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
-    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
+    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), grad)
     assert report.holds
     assert 1 << report.witness.size == 16
 
 
 def test_concavity_check_fails_on_convex_square_payoff():
     spec = coupled_square_system(sign=+1.0)
-    grid = _grid(spec)
+    grid = _grid()
     abar = np.zeros(2)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
-    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
+    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), grad)
     assert not report.holds
     assert report.worst_gap > 1e-3
 
 
 def test_concavity_check_single_bit():
     spec = scalar_affine_system()
-    grid = _grid(spec)
+    grid = _grid()
     abar = np.zeros(1)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
-    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), abar, grad)
+    report = check_concavity_inequality(payoff_function(spec, grid, "rk4"), grad)
     # affine-in-decision scalar system: linearization is exact up to
     # integration curvature in the decision, which is concave here
     assert 1 << report.witness.size == 2
@@ -156,10 +157,8 @@ def test_nonstandard_certificate_via_reformulated_concavity():
     from combidyn import SystemSpec, matvec, rowdot
 
     spec = SystemSpec(
-        state_dim=n,
         decision_dim=m,
         initial_state=0.4 * rng.standard_normal(n),
-        horizon=0.5,
         vector_field=lambda x, a, t: matvec(A, x) + matvec(B, a),
         running_payoff=lambda x, a, t: rowdot(x**2, -w) + rowdot(a**3, bump),
         terminal_payoff=lambda x: 0.0,
@@ -168,14 +167,13 @@ def test_nonstandard_certificate_via_reformulated_concavity():
         jac_q_x=lambda x: np.zeros(n),
         jac_f_alpha=lambda x, a, t: B,
         jac_r_alpha=lambda x, a, t: 3.0 * bump * a**2,
-        relaxable=True,
     )
-    grid = _grid(spec)
+    grid = _grid(401, 0.5)
     abar = np.zeros(m)
 
     hat = reformulate(spec)
     hat_grad = standard_derivative(linearize(hat, abar, grid, "rk4"))
-    assert check_concavity_inequality(payoff_function(hat, grid, "rk4"), abar, hat_grad).holds
+    assert check_concavity_inequality(payoff_function(hat, grid, "rk4"), hat_grad).holds
 
     grad = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
     con = L0Band(0, 2)
@@ -253,7 +251,7 @@ def test_concavity_worst_alpha_is_first_in_lexicographic_order():
     # Four points tie for the worst violation; the report keeps the first in
     # lexicographic (entry 0 most significant) order.
     grad = Gradient("standard", np.zeros(3), np.zeros(3), 0.0)
-    report = check_concavity_inequality(lambda a: np.abs(a[..., 0] - a[..., 2]), np.zeros(3), grad)
+    report = check_concavity_inequality(lambda a: np.abs(a[..., 0] - a[..., 2]), grad)
     assert not report.holds and 1 << report.witness.size == 8
     assert report.worst_gap == 1.0
     assert report.witness.tolist() == [0, 0, 1]
@@ -267,7 +265,7 @@ def _all_on_is(value):
 
 _ZERO_GRAD = Gradient("standard", np.zeros(3), np.zeros(3), 0.0)
 _CHECKS = {
-    "concavity": lambda payoff: check_concavity_inequality(payoff, np.zeros(3), _ZERO_GRAD),
+    "concavity": lambda payoff: check_concavity_inequality(payoff, _ZERO_GRAD),
     "submodularity": lambda payoff: submodularity_report(payoff, 3),
     "monotonicity": lambda payoff: monotonicity_report(payoff, 3),
 }
@@ -290,7 +288,7 @@ def test_set_function_reports_raise_on_an_infinite_payoff(report, value):
 
 def test_applied_decision_falls_back_to_pick_at_infeasible_base():
     spec = scalar_affine_system()
-    grid = _grid(spec)
+    grid = _grid()
     abar = np.zeros(1)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     cert = certify(spec, abar, grad, np.ones(1), integrate(spec, np.ones(1), grid, "rk4"))

@@ -16,12 +16,12 @@ from combidyn import (
     linearize,
     nonstandard_derivative,
     reformulate,
-    solve_adjoint,
     standard_derivative,
     variational_quotient,
 )
 
 from support import (
+    RANDOM_HORIZON,
     cubic_bias_system,
     exp_additive_system,
     random_additive_system,
@@ -35,13 +35,13 @@ from support import (
 E = np.e
 
 
-def _grid(spec, n=801):
-    return TimeGrid(spec.horizon, n)
+def _grid(n=801, horizon=1.0):
+    return TimeGrid(horizon, n)
 
 
 def test_standard_scalar_affine_value():
     spec = scalar_affine_system()
-    grad = standard_derivative(linearize(spec, [0.0], _grid(spec, 1001), "rk4"))
+    grad = standard_derivative(linearize(spec, [0.0], _grid(1001), "rk4"))
     assert abs(grad.entries[0] - (E - 2.0)) < 1e-4
     assert abs(grad.base_payoff - 0.0) < 1e-6  # J at alpha = 0 with x(0) = 0
 
@@ -52,20 +52,20 @@ def test_derivative_refuses_an_unknown_kind(kind):
     from combidyn.gradient import DERIVATIVE_KINDS, derivative
 
     spec = scalar_affine_system()
-    lin = linearize(spec, [0.0], _grid(spec, 101), "rk4")
+    lin = linearize(spec, [0.0], _grid(101), "rk4")
     with pytest.raises(ValueError, match=f"kind must be one of {re.escape(str(DERIVATIVE_KINDS))}"):
         derivative(lin, kind)
 
 
 def test_standard_zero_when_decision_free():
     spec = scalar_exp_system()
-    grad = standard_derivative(linearize(spec, [1.0], _grid(spec, 301), "rk4"))
+    grad = standard_derivative(linearize(spec, [1.0], _grid(301), "rk4"))
     assert np.allclose(grad.entries, 0.0, atol=1e-12)
 
 
 def test_standard_bias_ratio():
     spec = cubic_bias_system()
-    grad = standard_derivative(linearize(spec, [1.0, 1.0], _grid(spec, 1001), "rk4"))
+    grad = standard_derivative(linearize(spec, [1.0, 1.0], _grid(1001), "rk4"))
     assert grad.entries[1] > 0
     assert abs(grad.entries[0] / grad.entries[1] - 1.5) < 1e-3
 
@@ -73,27 +73,32 @@ def test_standard_bias_ratio():
 def test_standard_requires_relaxable():
     spec = random_nonrelaxable_system(np.random.default_rng(0), 2, 2)
     with pytest.raises(NotRelaxableError):
-        standard_derivative(linearize(spec, [0.0, 0.0], _grid(spec, 101)))
+        standard_derivative(linearize(spec, [0.0, 0.0], _grid(101, RANDOM_HORIZON)))
 
 
 @pytest.mark.parametrize("missing", ["jac_f_alpha", "jac_r_alpha"])
-def test_standard_refuses_a_relaxable_spec_without_a_decision_jacobian(missing):
-    # The derivative is the exact one of the spec's Jacobians or none at all.
+def test_a_spec_missing_a_decision_jacobian_is_binary_only(missing):
+    # A spec is relaxable exactly when it supplies both decision Jacobians:
+    # with one of them it refuses a fractional decision and the relaxed
+    # derivative, and still integrates and linearizes at binary points.
     spec = dataclasses.replace(cubic_bias_system(), **{missing: None})
-    lin = linearize(spec, [1.0, 0.0], _grid(spec, 101), "rk4")
+    assert not spec.relaxable
+    with pytest.raises(NotRelaxableError):
+        integrate(spec, [0.5, 0.0], _grid(101), "rk4")
+    lin = linearize(spec, [1.0, 0.0], _grid(101), "rk4")
     with pytest.raises(NotRelaxableError, match="decision Jacobians jac_f_alpha and jac_r_alpha"):
         standard_derivative(lin)
 
 
 def test_nonstandard_zero_when_decision_free():
     spec = scalar_exp_system()
-    grad = nonstandard_derivative(linearize(spec, [1.0], _grid(spec, 301), "rk4"))
+    grad = nonstandard_derivative(linearize(spec, [1.0], _grid(301), "rk4"))
     assert np.allclose(grad.entries, 0.0, atol=1e-12)
 
 
 def test_nonstandard_bias_ratio():
     spec = cubic_bias_system()
-    grad = nonstandard_derivative(linearize(spec, [1.0, 1.0], _grid(spec, 1001), "rk4"))
+    grad = nonstandard_derivative(linearize(spec, [1.0, 1.0], _grid(1001), "rk4"))
     assert grad.entries[1] > 0
     assert abs(grad.entries[0] / grad.entries[1] - 0.5) < 1e-3
 
@@ -103,7 +108,7 @@ def test_nonstandard_additive_exponential_closed_form(abar):
     # Every entry is (exp(-1) - 1) * integral of the costate, regardless of
     # the base bit; with T = 1 the costate integral is e - 2.
     spec = exp_additive_system(m=3)
-    grad = nonstandard_derivative(linearize(spec, list(abar), _grid(spec, 1001), "rk4"))
+    grad = nonstandard_derivative(linearize(spec, list(abar), _grid(1001), "rk4"))
     expected = (np.exp(-1.0) - 1.0) * (E - 2.0)
     assert np.max(np.abs(grad.entries - expected)) < 1e-4
 
@@ -143,7 +148,7 @@ def test_reformulate_cubic_bias_becomes_linear():
 
 def test_fd_standard_matches_adjoint_on_affine():
     spec = scalar_affine_system()
-    grid = _grid(spec, 1001)
+    grid = _grid(1001)
     grad = standard_derivative(linearize(spec, [0.0], grid, "rk4"))
     for h_fd in (1e-3, 1e-4):
         fd = finite_difference_standard(spec, [0.0], 0, h_fd, grid, "rk4")
@@ -152,12 +157,12 @@ def test_fd_standard_matches_adjoint_on_affine():
 
 def test_fd_standard_zero_when_decision_free():
     spec = scalar_exp_system()
-    assert finite_difference_standard(spec, [0.0], 0, 1e-4, _grid(spec, 301)) == 0.0
+    assert finite_difference_standard(spec, [0.0], 0, 1e-4, _grid(301)) == 0.0
 
 
 def test_fd_standard_bias_second_entry():
     spec = cubic_bias_system()
-    grid = _grid(spec, 1001)
+    grid = _grid(1001)
     grad = standard_derivative(linearize(spec, [1.0, 1.0], grid, "rk4"))
     fd = finite_difference_standard(spec, [1.0, 1.0], 1, 1e-4, grid, "rk4")
     assert abs(fd - grad.entries[1]) < 1e-3
@@ -165,8 +170,8 @@ def test_fd_standard_bias_second_entry():
 
 @pytest.mark.parametrize("entry", [0, 1])
 def test_fd_nonstandard_error_shrinks_on_bias_system(entry):
-    spec = cubic_bias_system(horizon=0.5)
-    grid = _grid(spec, 801)
+    spec = cubic_bias_system()
+    grid = _grid(801, 0.5)
     grad = nonstandard_derivative(linearize(spec, [1.0, 1.0], grid, "rk4"))
     errs = []
     for eps in (0.1, 0.05, 0.025):
@@ -179,12 +184,12 @@ def test_fd_nonstandard_error_shrinks_on_bias_system(entry):
 def test_fd_nonstandard_zero_when_decision_free():
     spec = scalar_exp_system()
     for eps in (0.5, 0.1, 0.01):
-        assert finite_difference_nonstandard(spec, [1.0], 0, eps, _grid(spec, 201)) == 0.0
+        assert finite_difference_nonstandard(spec, [1.0], 0, eps, _grid(201)) == 0.0
 
 
 def test_fd_nonstandard_works_without_relaxability():
     spec = random_nonrelaxable_system(np.random.default_rng(5), 2, 3)
-    grid = _grid(spec, 801)
+    grid = _grid(801, RANDOM_HORIZON)
     grad = nonstandard_derivative(linearize(spec, [0.0, 1.0, 0.0], grid, "rk4"))
     err_big = abs(finite_difference_nonstandard(spec, [0.0, 1.0, 0.0], 1, 0.1, grid, "rk4") - grad.entries[1])
     err_small = abs(finite_difference_nonstandard(spec, [0.0, 1.0, 0.0], 1, 0.0125, grid, "rk4") - grad.entries[1])
@@ -196,12 +201,10 @@ def test_general_direction_quotient_limit():
     # single-bit flip) converges to the costate pairing with that target.
     rng = np.random.default_rng(11)
     spec = random_poly_system(rng, 3, 4)
-    grid = _grid(spec, 801)
+    grid = _grid(801, RANDOM_HORIZON)
     abar = np.array([0.0, 1.0, 0.0, 1.0])
     ato = np.array([1.0, 0.0, 0.0, 1.0])  # two bits flipped
-    fwd = integrate(spec, abar, grid, "rk4")
-    lam = solve_adjoint(spec, abar, fwd, "rk4")
-    target = costate_pairing(spec, abar, ato, fwd, lam)
+    target = costate_pairing(linearize(spec, abar, grid, "rk4"), ato)
     errs = [
         abs(variational_quotient(spec, abar, ato, eps, grid, "rk4") - target)
         for eps in (0.1, 0.05, 0.025, 0.0125)
@@ -215,7 +218,7 @@ def test_general_direction_quotient_limit():
 def test_affine_systems_make_both_derivatives_coincide(seed):
     rng = np.random.default_rng(100 + seed)
     spec = random_affine_system(rng, rng.integers(1, 4), rng.integers(1, 5))
-    grid = _grid(spec, 301)
+    grid = _grid(301, RANDOM_HORIZON)
     abar = rng.integers(0, 2, spec.decision_dim).astype(float)
     g_std = standard_derivative(linearize(spec, abar, grid, "rk4"))
     g_ns = nonstandard_derivative(linearize(spec, abar, grid, "rk4"))
@@ -228,7 +231,7 @@ def test_reformulation_identities_on_additive_systems(seed):
     n, m = 2, 3
     spec = random_additive_system(rng, n, m)
     hat = reformulate(spec)
-    grid = _grid(spec, 201)
+    grid = _grid(201, RANDOM_HORIZON)
     for bits in itertools.product((0.0, 1.0), repeat=m):
         a = np.array(bits)
         j = evaluate_payoff(spec, integrate(spec, a, grid, "rk4"), a)
@@ -245,7 +248,7 @@ def test_standard_matches_finite_differences_on_random_systems(seed):
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, 7))
     spec = random_poly_system(rng, n, m)
-    grid = _grid(spec, 401)
+    grid = _grid(401, RANDOM_HORIZON)
     abar = rng.integers(0, 2, m).astype(float)
     grad = standard_derivative(linearize(spec, abar, grid, "rk4"))
     h_fd = 1e-3

@@ -7,6 +7,7 @@ import pytest
 from combidyn import (
     ConstraintError,
     DimensionError,
+    EtpParams,
     FleetQuadratic,
     SystemSpec,
     TargetBandCase,
@@ -58,7 +59,6 @@ def test_single_unit_cooling_rate():
     params = default_fleet(10, seed=0)
     params = dataclasses.replace(
         params,
-        m=1,
         a=np.array([[1.0]]),
         b=np.array([2.0]),
         theta_ambient=np.array([19.5]),
@@ -68,14 +68,14 @@ def test_single_unit_cooling_rate():
         c=np.array([10.0]),
         x0=np.array([4.0]),
     )
-    spec = build_etp_system(params, SLOT)
+    spec = build_etp_system(params)
     assert spec.vector_field(np.array([4.0]), np.array([1.0]), 0.0)[0] == 13.5
 
 
 def test_equilibrium_at_uniform_ambient():
     params = default_fleet(10, seed=1)
     params = dataclasses.replace(params, x0=params.theta_ambient.copy())
-    spec = build_etp_system(params, SLOT)
+    spec = build_etp_system(params)
     f = spec.vector_field(params.x0, np.zeros(10), 0.0)
     assert np.allclose(f, 0.0, atol=1e-12)
 
@@ -87,7 +87,6 @@ def test_matrix_form_matches_summation_form():
     params = default_fleet(10, seed=0)
     params = dataclasses.replace(
         params,
-        m=m,
         a=a,
         b=rng.uniform(5.0, 30.0, m),
         theta_ambient=rng.uniform(15.0, 25.0, m),
@@ -97,7 +96,7 @@ def test_matrix_form_matches_summation_form():
         c=np.full(m, 10.0),
         x0=rng.uniform(0.0, 4.0, m),
     )
-    spec = build_etp_system(params, SLOT)
+    spec = build_etp_system(params)
     x = rng.uniform(-2.0, 6.0, m)
     alpha = rng.integers(0, 2, m).astype(float)
     got = spec.vector_field(x, alpha, 0.0)
@@ -111,8 +110,8 @@ def test_matrix_form_matches_summation_form():
 
 def test_transient_on_units_recover_base_model():
     params = default_fleet(10, seed=2)
-    base = build_etp_system(params, SLOT)
-    trans = build_transient_system(params, 100.0, range(10), SLOT)
+    base = build_etp_system(params)
+    trans = build_transient_system(params, 100.0, range(10))
     x = params.x0
     ones = np.ones(10)
     for t in (0.0, 0.1, 0.2):
@@ -121,8 +120,8 @@ def test_transient_on_units_recover_base_model():
 
 def test_transient_off_cooling_decays():
     params = default_fleet(10, seed=2)
-    trans = build_transient_system(params, 100.0, range(10), SLOT)
-    base = build_etp_system(params, SLOT)
+    trans = build_transient_system(params, 100.0, range(10))
+    base = build_etp_system(params)
     x = params.x0
     zeros = np.zeros(10)
     early = trans.vector_field(x, zeros, 0.0)
@@ -135,16 +134,16 @@ def test_transient_off_cooling_decays():
 def test_transient_member_validation():
     params = default_fleet(10, seed=2)
     with pytest.raises(Exception):
-        build_transient_system(params, 100.0, [11], SLOT)
+        build_transient_system(params, 100.0, [11])
     with pytest.raises(ConstraintError):
-        build_transient_system(params, -1.0, [0], SLOT)
+        build_transient_system(params, -1.0, [0])
 
 
 def test_transient_derivatives_match_costate_integrals():
     params = default_fleet(10, seed=5)
     members = (0, 2, 4, 6, 8)
     xi = 100.0
-    spec = build_transient_system(params, xi, members, SLOT)
+    spec = build_transient_system(params, xi, members)
     grid = TimeGrid(SLOT, 1001)
     for abar_bits in (np.zeros(10), (np.arange(10) % 2).astype(float)):
         fwd = integrate(spec, abar_bits, grid, "rk4")
@@ -213,8 +212,8 @@ def test_quadratic_model_matches_integrated_payoff():
     rng = np.random.default_rng(21)
     params = default_fleet(10, seed=3)
     grid = TimeGrid(SLOT, 101)
-    spec = build_etp_system(params, SLOT)
-    model = quadratic_payoff_model(params, SLOT, grid, "rk4")
+    spec = build_etp_system(params)
+    model = quadratic_payoff_model(params, grid, "rk4")
     for _ in range(8):
         alpha = rng.integers(0, 2, 10).astype(float)
         direct = evaluate_payoff(spec, integrate(spec, alpha, grid, "rk4"), alpha)
@@ -231,8 +230,8 @@ def test_fleet_hessian_is_symmetric_and_negative_semidefinite(m, scheme):
     # and no eigenvalue above roundoff, for both fleets.
     params = default_fleet(m, seed=m)
     grid = TimeGrid(SLOT, 51)
-    transient = build_transient_system(params, np.full(m, 100.0), transient_members(m), SLOT)
-    for spec in (build_etp_system(params, SLOT), transient):
+    transient = build_transient_system(params, np.full(m, 100.0), transient_members(m))
+    for spec in (build_etp_system(params), transient):
         sens = affine_state_model(spec, grid, scheme)[1]
         Q = FleetQuadratic(params, grid, sens).quadratic
         assert np.array_equal(Q, Q.T)
@@ -251,7 +250,7 @@ def test_slot_payoff_equals_integration_at_binary_rows(transient, m, scheme, gri
     spec = step_system(sc, sc.params.x0)
     grid = TimeGrid(sc.step_hours, grid_points)
     base_path = integrate(spec, np.zeros(m), grid, scheme)
-    objective, _fleet = slot_payoff(sc, spec, grid, scheme, base_path)
+    objective, _fleet = slot_payoff(sc, spec, scheme, base_path)
     rows = np.random.default_rng(m + grid_points).integers(0, 2, (200, m)).astype(float)
     want = payoff_function(spec, grid, scheme)(rows)
     assert np.all(np.abs(objective(rows) - want) <= 1e-12 * np.abs(want))
@@ -260,18 +259,106 @@ def test_slot_payoff_equals_integration_at_binary_rows(transient, m, scheme, gri
 def test_case_one_payoff_is_concave_and_submodular_small_fleet():
     params = default_fleet(10, seed=13)
     grid = TimeGrid(SLOT, 101)
-    model = quadratic_payoff_model(params, SLOT, grid, "rk4")
+    model = quadratic_payoff_model(params, grid, "rk4")
     assert submodularity_report(model.value, 10).holds is True
-    spec = build_etp_system(params, SLOT)
+    spec = build_etp_system(params)
     grad = standard_derivative(linearize(spec, np.zeros(10), grid, "rk4"))
-    assert check_concavity_inequality(model.value, np.zeros(10), grad).holds
+    assert check_concavity_inequality(model.value, grad).holds
     # monotonicity is scenario dependent; just exercise the report
     monotonicity_report(model.value, 10)
 
 
+@pytest.mark.parametrize(
+    "kind, holds, worst_gap, witness",
+    [
+        ("standard", False, 4.400308769266083, [0, 0, 0, 0, 1, 0, 0, 0, 1, 0]),
+        ("nonstandard", True, 8.881784197001252e-16, [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]),
+    ],
+)
+def test_concavity_check_reads_the_base_point_from_the_gradient(kind, holds, worst_gap, witness):
+    # The premise is checked at the point the derivative was taken, so a
+    # check away from all-off gives the verdict of linearizing there: on the
+    # transient fleet the standard premise fails and the nonstandard one holds.
+    from combidyn.gradient import derivative
+
+    sc = default_scenario(10, seed=2, num_steps=2, transient=True)
+    spec = step_system(sc, sc.params.x0)
+    grid = TimeGrid(sc.step_hours, 21)
+    objective, _fleet = slot_payoff(sc, spec, "rk4", integrate(spec, np.zeros(10), grid, "rk4"))
+    grad = derivative(linearize(spec, np.tile([1.0, 0.0], 5), grid, "rk4"), kind)
+    report = check_concavity_inequality(objective, grad)
+    assert report.holds is holds
+    assert report.worst_gap == pytest.approx(worst_gap, rel=1e-9, abs=1e-12)
+    assert report.witness.tolist() == witness
+
+
+def test_fleet_quadratic_refuses_paths_of_another_grid():
+    sc = default_scenario(10, seed=2, num_steps=2)
+    spec = step_system(sc, sc.params.x0)
+    coarse, fine = TimeGrid(sc.step_hours, 21), TimeGrid(sc.step_hours, 41)
+    base_fine, sens_fine = affine_state_model(spec, fine, "rk4")
+    with pytest.raises(DimensionError, match="41 knots, but the grid has 21"):
+        FleetQuadratic(sc.params, coarse, sens_fine)
+    _objective, fleet = slot_payoff(sc, spec, "rk4", integrate(spec, np.zeros(10), coarse, "rk4"))
+    with pytest.raises(DimensionError, match="41 knots, but the grid has 21"):
+        fleet.model(base_fine)
+    with pytest.raises(DimensionError, match="41 knots, but the grid has 21"):
+        slot_payoff(sc, spec, "rk4", Trajectory(fine, base_fine), fleet)
+
+
+def test_fleet_size_is_the_order_of_the_heat_transfer_matrix():
+    scalars = dict(b=8.0, theta_ambient=19.5, theta_lo=0.0, theta_hi=4.0, delta=1.0, c=10.0, x0=2.0)
+    params = EtpParams(a=np.full((3, 3), 0.1), **scalars)
+    assert params.m == 3 and params.b.shape == (3,)
+    for a in (np.ones((3, 2)), np.ones(3), np.zeros((0, 0))):
+        with pytest.raises(DimensionError, match="nonempty square matrix"):
+            EtpParams(a=a, **scalars)
+
+
+_FINITE_CASES = [
+    *((field, value) for field in ("a", "b", "theta_ambient", "theta_lo", "theta_hi", "delta", "c")
+      for value in (np.nan, np.inf)),
+    ("y_lo", np.nan), ("y_hi", np.nan), ("y_hi", np.inf),
+    ("transient.xi", np.inf), ("transient.xi", np.nan),
+    ("step_minutes", np.nan), ("step_minutes", np.inf),
+]
+
+
+@pytest.mark.parametrize("field, value", _FINITE_CASES, ids=[f"{f}-{v}" for f, v in _FINITE_CASES])
+def test_scenario_types_refuse_non_finite_numbers(field, value):
+    # Refused when built, naming the field, rather than failing in a later
+    # slot as a divergence, a dimension error or a bare ValueError.
+    sc = default_scenario(10, seed=2, num_steps=2, transient=True)
+    with pytest.raises(ConstraintError, match="finite") as err:
+        if field in ("y_lo", "y_hi"):
+            bounds = {"y_lo": sc.case.y_lo.copy(), "y_hi": sc.case.y_hi.copy()}
+            bounds[field][1] = value
+            TargetBandCase(**bounds)
+        elif field == "transient.xi":
+            xi = sc.transient.xi.copy()
+            xi[3] = value
+            dataclasses.replace(sc, transient=TransientConfig(xi, sc.transient.members))
+        elif field == "step_minutes":
+            dataclasses.replace(sc, step_minutes=value)
+        else:
+            entries = getattr(sc.params, field).copy()
+            entries.flat[1] = value
+            dataclasses.replace(sc.params, **{field: entries})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_tu_case_refuses_non_finite_budgets(value):
+    sc = default_scenario(10, seed=2, num_steps=2, case="tu")
+    z_bar = sc.case.z_bar.copy()
+    z_bar[0] = value
+    with pytest.raises(ConstraintError, match="z_bar must be integer"):
+        dataclasses.replace(sc.case, z_bar=z_bar)
+
+
 def test_case_one_derivatives_coincide():
     params = default_fleet(20, seed=4)
-    spec = build_etp_system(params, SLOT)
+    spec = build_etp_system(params)
     grid = TimeGrid(SLOT, 201)
     abar = np.zeros(20)
     g_std = standard_derivative(linearize(spec, abar, grid, "rk4"))
@@ -285,7 +372,7 @@ def test_temperatures_stay_bounded_under_alternating_control():
     grid = TimeGrid(SLOT, 101)
     for k in range(32):
         alpha = ((np.arange(10) + k) % 2).astype(float)
-        spec = build_etp_system(dataclasses.replace(params, x0=x), SLOT)
+        spec = build_etp_system(dataclasses.replace(params, x0=x))
         x = integrate(spec, alpha, grid).final_state.copy()
         assert np.all(x > -5.0) and np.all(x < 25.0)
 
@@ -297,7 +384,7 @@ def test_receding_horizon_state_continuity_and_power():
     x = sc.params.x0.copy()
     grid = TimeGrid(sc.step_hours, 101)
     for res in results:
-        spec = build_etp_system(dataclasses.replace(sc.params, x0=x), sc.step_hours)
+        spec = build_etp_system(dataclasses.replace(sc.params, x0=x))
         replay = integrate(spec, res.alpha, grid, "rk4").final_state
         assert np.array_equal(res.temperatures_end, replay)
         assert res.power_kw == float(sc.params.c @ res.alpha)
@@ -410,8 +497,8 @@ def test_bruteforce_batch_and_scalar_routes_agree():
 
     params = default_fleet(10, seed=8)
     grid = TimeGrid(SLOT, 51)
-    spec = build_etp_system(params, SLOT)
-    model = quadratic_payoff_model(params, SLOT, grid, "rk4")
+    spec = build_etp_system(params)
+    model = quadratic_payoff_model(params, grid, "rk4")
     con = combidyn.TuRows(np.vstack([np.ones(10), -np.ones(10)]), np.array([5.0, 0.0]))
 
     def payoff(a):
@@ -469,7 +556,7 @@ def test_both_kinds_compare_applied_payoffs_at_infeasible_base():
 
 def test_scenario_rejects_duplicate_transient_members():
     sc = default_scenario(10, seed=2, num_steps=2, transient=True)
-    with pytest.raises(ConstraintError, match="unique"):
+    with pytest.raises(ConstraintError, match="duplicate unit index"):
         dataclasses.replace(sc, transient=TransientConfig(sc.transient.xi, (0, 0)))
     with pytest.raises(DimensionError, match="out of range"):
         dataclasses.replace(sc, transient=TransientConfig(sc.transient.xi, (10,)))
@@ -566,10 +653,10 @@ def test_slot_models_equal_a_per_slot_rebuild(monkeypatch, seed, transient):
 
     def rebuild(x):
         if not transient:
-            return quadratic_payoff_model(dataclasses.replace(sc.params, x0=x), SLOT, grid, "rk4")
+            return quadratic_payoff_model(dataclasses.replace(sc.params, x0=x), grid, "rk4")
         spec = step_system(sc, x)
         base_path = integrate(spec, np.zeros(20), grid, "rk4")
-        _objective, fleet = slot_payoff(sc, spec, grid, "rk4", base_path, fleet=None)
+        _objective, fleet = slot_payoff(sc, spec, "rk4", base_path, fleet=None)
         return fleet_model(fleet, base_path.values)
 
     def recorded(self, base):
@@ -677,10 +764,8 @@ def test_slot_pick_applies_the_base_path_when_the_pick_pays_less():
     # at zero favors both bits, but both ON pays -1.21 against -0.81 at the
     # feasible base, so the base point and its path's end state are applied.
     spec = SystemSpec(
-        state_dim=1,
         decision_dim=2,
         initial_state=[0.0],
-        horizon=1.0,
         vector_field=lambda x, a, t: np.zeros_like(x) + np.sum(a, axis=-1, keepdims=True),
         running_payoff=lambda x, a, t: 0.0,
         terminal_payoff=lambda x: -((x[..., 0] - 0.9) ** 2),
@@ -689,7 +774,6 @@ def test_slot_pick_applies_the_base_path_when_the_pick_pays_less():
         jac_q_x=lambda x: -2.0 * (x - 0.9),
         jac_f_alpha=lambda x, a, t: np.ones((1, 2)),
         jac_r_alpha=lambda x, a, t: np.zeros(2),
-        relaxable=True,
     )
     grid = TimeGrid(1.0, 11)
     con = TuRows(np.ones((1, 2)), [2.0])
@@ -710,7 +794,7 @@ def test_etp_field_equals_the_dense_decision_product(m):
     from combidyn.refrigeration import _etp_matrices
 
     params = default_fleet(m, seed=m)
-    spec = build_etp_system(params, 0.25)
+    spec = build_etp_system(params)
     A, B, theta = _etp_matrices(params)
     assert np.array_equal(spec.jac_f_alpha(params.x0, np.zeros(m), 0.0), B)
     rng = np.random.default_rng(m)

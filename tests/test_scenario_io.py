@@ -222,7 +222,8 @@ def test_shipped_scenarios_write_back_byte_for_byte(tmp_path, path):
 
 def test_power_band_over_unequal_power_draws_is_refused_at_parse(tmp_path, capsys):
     # Unit 4 draws 12 kW: the count-band encoding of a power band does not
-    # hold, so the file is refused whole, naming no step, whatever the command.
+    # hold, so the file is refused whole at the power draws' line, naming no
+    # step, whatever the command.
     from combidyn.cli import main
 
     path = tmp_path / "unequal.yaml"
@@ -230,10 +231,75 @@ def test_power_band_over_unequal_power_draws_is_refused_at_parse(tmp_path, capsy
     text = path.read_text()
     assert text.count("  c: [10.0, 10.0, 10.0, 10.0, ") == 1
     path.write_text(text.replace("  c: [10.0, 10.0, 10.0, 10.0, ", "  c: [10.0, 10.0, 10.0, 12.0, "))
-    message = "scenario (line 1): the target-band encodings need uniform unit power draws"
+    line = 1 + next(i for i, row in enumerate(text.splitlines()) if row.startswith("  c: "))
+    message = f"scenario.fleet.c (line {line}): the target-band encodings need uniform unit power draws"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(str(path))
     assert str(err.value) == message
     for command in ("optimize", "check-submodular"):
         assert main([command, "--scenario", str(path), "--grid", "51"]) == 2
         assert capsys.readouterr().err == f"error: ScenarioError: {message}\n"
+
+
+_C1, _TR = "case1_m10.yaml", "transient_m20.yaml"
+_INVARIANTS = {
+    # name: (file, old, new, field, message[, start of the line it names,
+    # when not the replaced one]).  First the scenario types' own invariants,
+    # then the checks the parser no longer repeats, with their old bytes.
+    "a_negative": (_C1, "data: [0.25", "data: [-0.25", "scenario.fleet.a",
+                   "heat-transfer coefficients must be nonnegative", "    rows:"),
+    "b_not_positive": (_C1, "  b: [8.0,", "  b: [0.0,", "scenario.fleet.b",
+                       "cooling rates b must be positive"),
+    "delta_negative": (_C1, "  delta: [1.0,", "  delta: [-1.0,", "scenario.fleet.delta",
+                       "penalty weights and power draws must be nonnegative"),
+    "c_negative": (_C1, "  c: [10.0,", "  c: [-10.0,", "scenario.fleet.c",
+                   "penalty weights and power draws must be nonnegative"),
+    "c_not_uniform": (_C1, "  c: [10.0,", "  c: [12.0,", "scenario.fleet.c",
+                      "the target-band encodings need uniform unit power draws"),
+    "step_minutes_short": (_C1, "  step_minutes: 15.0", "  step_minutes: 5.0",
+                           "scenario.schedule.step_minutes",
+                           "step_minutes must be at least 10.0 minutes"),
+    "xi_not_positive": (_TR, "  xi: [100.0,", "  xi: [0.0,", "scenario.transient.xi",
+                        "transient decay rates must be positive"),
+    "theta_band": (_C1, "  theta_hi: [4.0,", "  theta_hi: [-1.0,", "scenario.fleet.theta_lo",
+                   "comfort band needs theta_lo < theta_hi entrywise", "  theta_lo:"),
+    "y_lo_negative": (_C1, "  y_lo: [0.0,", "  y_lo: [-1.0,", "scenario.case.y_lo",
+                      "target bands must be nonnegative"),
+    "y_hi_negative": (_C1, "  y_hi: [50.0,", "  y_hi: [-50.0,", "scenario.case.y_lo",
+                      "target bands must be nonnegative", "  y_lo:"),
+    "y_lo_above_y_hi": (_C1, "  y_lo: [0.0,", "  y_lo: [60.0,", "scenario.case.y_lo",
+                        "target band needs y_lo <= y_hi"),
+    "member_out_of_range": (_TR, "  members: [1,", "  members: [21,",
+                            "scenario.transient.members[0]", "unit index 21 out of range 1..20"),
+    "member_duplicate": (_TR, "  members: [1, 3,", "  members: [1, 1,",
+                         "scenario.transient.members", "duplicate unit index"),
+}
+
+
+@pytest.mark.parametrize("name", _INVARIANTS)
+def test_invariant_errors_name_the_field_and_its_line(tmp_path, capsys, name):
+    # The line is the one the field's value starts on: for the matrix a,
+    # the line below its key.
+    from combidyn.cli import main
+
+    scenario, old, new, field, message, *at = _INVARIANTS[name]
+    text = (SCENARIO_DIR / scenario).read_text()
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new, 1))
+    line = 1 + next(i for i, row in enumerate(text.splitlines()) if row.startswith((at or [old])[0]))
+    where = f"{field} (line {line}): {message}"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(path)
+    assert (err.value.field_path, str(err.value)) == (field, where)
+    assert main(["optimize", "--scenario", path, "--grid", "21"]) == 2
+    assert capsys.readouterr().err == f"error: ScenarioError: {where}\n"
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_non_positive_num_steps_is_refused_at_its_line(tmp_path, steps):
+    # A negative count used to reach numpy as a vector length and escape as
+    # a ValueError.
+    bad = MINIMAL.replace("num_steps: 1", f"num_steps: {steps}")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_write(tmp_path, bad))
+    assert str(err.value) == "scenario.schedule.num_steps (line 14): num_steps must be positive"

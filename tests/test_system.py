@@ -13,25 +13,22 @@ from combidyn import (
     matvec,
 )
 
-from support import random_poly_system, scalar_affine_system, scalar_exp_system
+from support import RANDOM_HORIZON, random_poly_system, scalar_affine_system, scalar_exp_system
 
 E = np.e
 
 
-def _const_system(values, m=1, horizon=1.0):
+def _const_system(values, m=1):
     n = len(values)
     return SystemSpec(
-        state_dim=n,
         decision_dim=m,
         initial_state=values,
-        horizon=horizon,
         vector_field=lambda x, a, t: np.zeros(n),
         running_payoff=lambda x, a, t: 0.0,
         terminal_payoff=lambda x: x[..., 0],
         jac_f_x=lambda x, a, t: np.zeros((n, n)),
         jac_r_x=lambda x, a, t: np.zeros(n),
         jac_q_x=lambda x: np.r_[1.0, np.zeros(n - 1)],
-        relaxable=True,
         jac_f_alpha=lambda x, a, t: np.zeros((n, m)),
         jac_r_alpha=lambda x, a, t: np.zeros(m),
     )
@@ -58,17 +55,14 @@ def test_affine_decision_final_state():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_reports_knot():
     spec = SystemSpec(
-        state_dim=1,
         decision_dim=1,
         initial_state=[3.0],
-        horizon=2.0,
         vector_field=lambda x, a, t: x * x,
         running_payoff=lambda x, a, t: 0.0,
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: 2.0 * x[..., None],
         jac_r_x=lambda x, a, t: np.zeros(1),
         jac_q_x=lambda x: np.zeros(1),
-        relaxable=True,
     )
     with pytest.raises(IntegrationDivergedError) as err:
         integrate(spec, [0.0], TimeGrid(2.0, 2001))
@@ -80,17 +74,14 @@ def test_decision_validation():
     with pytest.raises(ValueError):
         integrate(spec, [1.2], TimeGrid(1.0, 10))
     nonrelax = SystemSpec(
-        state_dim=1,
         decision_dim=1,
         initial_state=[0.0],
-        horizon=1.0,
         vector_field=lambda x, a, t: x,
         running_payoff=lambda x, a, t: 0.0,
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: np.array([[1.0]]),
         jac_r_x=lambda x, a, t: np.zeros(1),
         jac_q_x=lambda x: np.zeros(1),
-        relaxable=False,
     )
     with pytest.raises(NotRelaxableError):
         integrate(nonrelax, [0.5], TimeGrid(1.0, 10))
@@ -102,7 +93,7 @@ def test_a_nan_relaxed_decision_is_outside_the_unit_box():
     # and surface as a diverged state at knot 1.
     from combidyn import build_etp_system, default_fleet
 
-    spec = build_etp_system(default_fleet(10, 0), 0.25)
+    spec = build_etp_system(default_fleet(10, 0))
     a = np.zeros(10)
     a[3] = np.nan
     for alpha in (a, np.stack([np.zeros(10), a])):
@@ -128,14 +119,6 @@ def test_payoff_affine_running():
     assert abs(evaluate_payoff(spec, traj, [1.0]) - (E - 2.0)) < 1e-5
 
 
-def test_payoff_grid_mismatch():
-    spec = scalar_exp_system(horizon=1.0)
-    other = scalar_exp_system(horizon=2.0)
-    traj = integrate(other, [0.0], TimeGrid(2.0, 100))
-    with pytest.raises(DimensionError):
-        evaluate_payoff(spec, traj, [0.0])
-
-
 def test_variational_endpoints_reproduce_plain_integration():
     spec = scalar_affine_system()
     grid = TimeGrid(1.0, 301)
@@ -156,17 +139,14 @@ def test_variational_midpoint_matches_halfway_field():
 
 def test_variational_payoff_blend():
     spec = SystemSpec(
-        state_dim=1,
         decision_dim=1,
         initial_state=[0.0],
-        horizon=1.0,
         vector_field=lambda x, a, t: np.zeros(1),
         running_payoff=lambda x, a, t: a[..., 0],
         terminal_payoff=lambda x: 0.0,
         jac_f_x=lambda x, a, t: np.zeros((1, 1)),
         jac_r_x=lambda x, a, t: np.zeros(1),
         jac_q_x=lambda x: np.zeros(1),
-        relaxable=True,
         jac_f_alpha=lambda x, a, t: np.zeros((1, 1)),
         jac_r_alpha=lambda x, a, t: np.array([1.0]),
     )
@@ -182,7 +162,7 @@ def test_variational_payoff_blend():
 def test_blend_deviation_scales_linearly():
     rng = np.random.default_rng(7)
     spec = random_poly_system(rng, 2, 2)
-    grid = TimeGrid(spec.horizon, 401)
+    grid = TimeGrid(RANDOM_HORIZON, 401)
     abar = np.zeros(2)
     atarget = np.ones(2)
     base = integrate(spec, abar, grid, "rk4").values
@@ -197,7 +177,7 @@ def test_blend_deviation_scales_linearly():
 def test_blend_squared_deviation_vanishes_superlinearly():
     rng = np.random.default_rng(8)
     spec = random_poly_system(rng, 2, 2)
-    grid = TimeGrid(spec.horizon, 401)
+    grid = TimeGrid(RANDOM_HORIZON, 401)
     abar = np.zeros(2)
     atarget = np.ones(2)
     base = integrate(spec, abar, grid, "rk4").values
