@@ -57,7 +57,6 @@ from .solvers import (
     TuRows,
     feasible_mask,
     is_feasible,
-    is_totally_unimodular,
     solve_bruteforce,
     solve_greedy,
     solve_knapsack,

@@ -67,8 +67,8 @@ class InfeasibleError(CombidynError):
 
 
 class TuViolationError(CombidynError):
-    """The relaxed linear program returned a fractional vertex, i.e. the
-    caller's total-unimodularity assertion was false."""
+    """The relaxed linear program returned a fractional optimal vertex, so
+    the rows are not totally unimodular and the LP gives no 0-1 optimum."""
 
 
 class EnumerationRefusedError(CombidynError):

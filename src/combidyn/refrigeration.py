@@ -258,11 +258,11 @@ class TuCase:
         r = np.asarray(self.rhs, dtype=float).reshape(-1)
         z = np.asarray(self.z_bar, dtype=float).reshape(-1)
         if Q.ndim != 2 or Q.shape[0] != r.size:
-            raise DimensionError("rows and rhs shapes do not match")
+            raise DimensionError("rows and rhs shapes do not match", field="rhs")
         if Q.shape[0] == 0:
-            raise ConstraintError("operation rows need at least the per-step budget row")
+            raise ConstraintError("operation rows need at least the per-step budget row", field="rows")
         for name, arr in (("rows", Q), ("rhs", r), ("z_bar", z)):
-            object.__setattr__(self, name, integer_array(arr, name))
+            object.__setattr__(self, name, integer_array(arr, name, field=name))
 
 
 @dataclass(frozen=True)
@@ -647,8 +647,8 @@ def _pick_paths(spec: SystemSpec, picks, grid: TimeGrid, scheme: str):
     row, which equals each pick integrated alone under the callback contract."""
     if all(np.array_equal(alpha, picks[0]) for alpha in picks):
         return [integrate(spec, picks[0], grid, scheme)] * len(picks)
-    stack = integrate(spec, np.stack(picks), grid, scheme).values
-    return [Trajectory(grid, stack[:, j]) for j in range(len(picks))]
+    stack = integrate(spec, np.stack(picks), grid, scheme)
+    return [Trajectory(grid, stack.values[:, j], stack.decision[j]) for j in range(len(picks))]
 
 
 def slot_picks(spec: SystemSpec, alpha_bar, con: TuRows, band, kinds, solver, grid, scheme):
@@ -674,7 +674,12 @@ def slot_payoff(scenario: Scenario, spec: SystemSpec, scheme, base_path: Traject
     """(objective, fleet): the exact discrete payoff of one slot over binary
     decision rows (..., m), ``fleet.model`` on the slot's all-off
     ``base_path``, exact for both fleets (see :class:`FleetQuadratic`);
-    ``fleet`` is probed on that path's grid when None, for later slots."""
+    ``fleet`` is probed on that path's grid when None, for later slots.
+    ValueError unless ``base_path`` records that :func:`integrate` held
+    the all-off decision along it."""
+    off = base_path.decision
+    if off is None or off.shape != (spec.decision_dim,) or np.any(off):
+        raise ValueError("slot_payoff needs the slot's path integrated at the all-off decision")
     if fleet is None:
         grid = base_path.grid
         fleet = FleetQuadratic(scenario.params, grid, affine_state_model(spec, grid, scheme)[1])

@@ -211,9 +211,12 @@ def parse_scenario(path: str) -> Scenario:
         # Peek at the declared row count, then parse with the full helper.
         nrows = _take(q_node.mapping(), "rows", q_node).scalar_int()
         Q = _matrix(q_node, nrows, m)
-        r = _vector(_take(case_fields, "r", case_node), nrows, "r")
-        z_bar = _vector(_take(case_fields, "z_bar", case_node), num_steps, "z_bar")
+        r_node = _take(case_fields, "r", case_node)
+        r = _vector(r_node, nrows, "r")
+        z_node = _take(case_fields, "z_bar", case_node)
+        z_bar = _vector(z_node, num_steps, "z_bar")
         _reject_unknown(case_fields)
+        case_nodes = {"rows": q_node, "rhs": r_node, "z_bar": z_node}  # TuCase's names for Q and r
         case_type, case_args = TuCase, (Q, r, z_bar)
     else:
         raise case_node.fail(f"unknown case kind {kind!r}")

@@ -9,9 +9,10 @@ objective callable) and the constraints.  Objectives map decision rows
 Constraint kinds:
 
 * count band    : k_min <= number of ones <= k_max
-* TU rows       : integer rows @ alpha <= integer rhs with a totally
-                  unimodular row matrix, solved exactly through the boxed LP
-                  relaxation (the optimal vertex is integral)
+* TU rows       : integer rows @ alpha <= integer rhs, solved through the
+                  boxed LP relaxation; exact when its optimal vertex is
+                  integral, which total unimodularity guarantees, and refused
+                  (TuViolationError) when it is not
 * knapsack      : nonnegative weights, one capacity, 0.5-approximate greedy
 
 The exhaustive oracle (:func:`solve_bruteforce`) and the checks in ``certify``
@@ -22,7 +23,6 @@ over one cached suffix table, masked by integer rows before they are built.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -38,46 +38,16 @@ from .errors import (
 from .gradient import Gradient
 from .simplex import LpProblem, solve_boxed_lp
 
-_TU_CHECK_LIMIT = 8          # exhaustive determinant check up to this size
 _BRUTE_FORCE_LIMIT = 24
 _SUFFIX_BITS = 16            # enumeration blocks hold 2^16 rows
-_TU_MINOR_LIMIT = 200000
 
 
-def is_totally_unimodular(Q) -> bool:
-    """Exhaustively test total unimodularity by enumerating square submatrix
-    determinants.  Intended for small matrices; raises EnumerationRefusedError
-    before enumerating when the number of minors exceeds _TU_MINOR_LIMIT."""
-    A = np.asarray(Q, dtype=float)
-    if not np.allclose(A, np.round(A), atol=1e-9):
-        return False
-    A = np.round(A)
-    l, m = A.shape
-    total = 0
-    from math import comb
-
-    for k in range(1, min(l, m) + 1):
-        total += comb(l, k) * comb(m, k)
-    if total > _TU_MINOR_LIMIT:
-        raise EnumerationRefusedError(
-            f"{total} square submatrices exceed the enumeration limit {_TU_MINOR_LIMIT}"
-        )
-    for k in range(1, min(l, m) + 1):
-        for rows in itertools.combinations(range(l), k):
-            sub_rows = A[list(rows), :]
-            for cols in itertools.combinations(range(m), k):
-                det = np.linalg.det(sub_rows[:, list(cols)])
-                if abs(det - round(det)) > 1e-6 or round(det) not in (-1, 0, 1):
-                    return False
-    return True
-
-
-def integer_array(values, name: str) -> np.ndarray:
-    """``values`` rounded to integers; ConstraintError when any entry is
-    not finite or further than 1e-9 from an integer."""
+def integer_array(values, name: str, field=None) -> np.ndarray:
+    """``values`` rounded to integers; ConstraintError (naming ``field``)
+    when any entry is not finite or further than 1e-9 from an integer."""
     a = np.asarray(values, dtype=float)
     if not (np.all(np.isfinite(a)) and np.allclose(a, np.round(a), atol=1e-9)):
-        raise ConstraintError(f"{name} must be integer")
+        raise ConstraintError(f"{name} must be integer", field=field)
     return np.round(a)
 
 
@@ -95,11 +65,10 @@ class L0Band:
 
 @dataclass(frozen=True)
 class TuRows:
-    """Integer inequality rows asserted totally unimodular by the caller.
-
-    The assertion is verified exhaustively for matrices up to 8 x 8 and
-    trusted above that; a false assertion surfaces later as a fractional LP
-    vertex (TuViolationError).
+    """Integer inequality rows ``rows @ alpha <= rhs``, meant to be totally
+    unimodular.  Only their shape and integrality are checked here:
+    :func:`solve_tu` checks that the LP vertex is integral, the one property
+    its exactness needs.
     """
 
     rows: np.ndarray
@@ -112,9 +81,6 @@ class TuRows:
             raise ConstraintError("rows and rhs shapes do not match")
         object.__setattr__(self, "rows", integer_array(A, "TU rows"))
         object.__setattr__(self, "rhs", integer_array(b, "TU right-hand side"))
-        if A.shape[0] <= _TU_CHECK_LIMIT and A.shape[1] <= _TU_CHECK_LIMIT:
-            if not is_totally_unimodular(self.rows):
-                raise ConstraintError("row matrix is not totally unimodular")
 
 
 @dataclass(frozen=True)
@@ -176,11 +142,13 @@ def solve_l0(grad: Gradient, k_min: int, k_max: int) -> np.ndarray:
 
 
 def solve_tu(grad: Gradient, Q, r) -> np.ndarray:
-    """Exact solver for integer TU inequality rows via the boxed LP
-    relaxation; the optimal vertex must be integral and is snapped.
+    """Exact solver for integer inequality rows via the boxed LP relaxation;
+    the optimal vertex must be integral and is snapped.
 
-    A vertex further than 1e-7 from {0,1} means the caller's TU assertion was
-    false and raises TuViolationError.
+    Totally unimodular rows give an integral optimal vertex (Hoffman and
+    Kruskal, 1956), and an integral optimal vertex of the relaxation is a
+    0-1 optimum whatever the rows.  A vertex further than 1e-7 from {0,1}
+    raises TuViolationError: the rows are not TU.
     """
     con = TuRows(np.asarray(Q), np.asarray(r))
     x, _ = solve_boxed_lp(LpProblem(grad.entries, con.rows, con.rhs))

@@ -156,11 +156,15 @@ class SystemSpec:
 class Trajectory:
     """A state path sampled on a uniform grid; row k is the state at t_k.
 
-    The same container holds costate paths produced by the adjoint solver.
+    ``decision`` is the decision :func:`integrate` held fixed along the path,
+    (m,) or (B, m) for a stacked one, read-only; None for a path built
+    otherwise.  The same container holds costate paths produced by the
+    adjoint solver.
     """
 
     grid: TimeGrid
     values: np.ndarray
+    decision: Optional[np.ndarray] = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -216,7 +220,8 @@ def integrate(spec: SystemSpec, alpha, grid: TimeGrid, scheme: str = "euler") ->
     derivatives consistent with the discrete payoff actually computed.
     """
     _check_scheme(scheme)
-    a = _check_decision(spec, alpha)
+    a = _check_decision(spec, alpha).copy()  # the path's record of its decision
+    a.flags.writeable = False
     times = grid.times
     x = np.array(np.broadcast_to(spec.initial_state, a.shape[:-1] + (spec.state_dim,)))
     out = np.empty((grid.num_points,) + x.shape)
@@ -228,7 +233,7 @@ def integrate(spec: SystemSpec, alpha, grid: TimeGrid, scheme: str = "euler") ->
             raise IntegrationDivergedError(k + 1)
         out[k + 1] = x
     out.flags.writeable = False
-    return Trajectory(grid=grid, values=out)
+    return Trajectory(grid=grid, values=out, decision=a)
 
 
 def trapezoid_weights(grid: TimeGrid) -> np.ndarray:

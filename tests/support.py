@@ -2,13 +2,41 @@
 
 from __future__ import annotations
 
+import itertools
+from math import comb
+
 import numpy as np
 
-from combidyn import SystemSpec, affine_state_model, matvec, rowdot, trapezoid_weights
+from combidyn import EnumerationRefusedError, SystemSpec, affine_state_model, matvec, rowdot, trapezoid_weights
 
 # The horizon the random_* systems are scaled for; the other builders' closed
 # forms are stated at t = 1.
 RANDOM_HORIZON = 0.5
+TU_MINOR_LIMIT = 200000
+
+
+def is_totally_unimodular(Q) -> bool:
+    """Exhaustively test total unimodularity by enumerating square submatrix
+    determinants.  Intended for small matrices; raises EnumerationRefusedError
+    before enumerating when the number of minors exceeds TU_MINOR_LIMIT."""
+    A = np.asarray(Q, dtype=float)
+    if not np.allclose(A, np.round(A), atol=1e-9):
+        return False
+    A = np.round(A)
+    l, m = A.shape
+    total = sum(comb(l, k) * comb(m, k) for k in range(1, min(l, m) + 1))
+    if total > TU_MINOR_LIMIT:
+        raise EnumerationRefusedError(
+            f"{total} square submatrices exceed the enumeration limit {TU_MINOR_LIMIT}"
+        )
+    for k in range(1, min(l, m) + 1):
+        for rows in itertools.combinations(range(l), k):
+            sub_rows = A[list(rows), :]
+            for cols in itertools.combinations(range(m), k):
+                det = np.linalg.det(sub_rows[:, list(cols)])
+                if abs(det - round(det)) > 1e-6 or round(det) not in (-1, 0, 1):
+                    return False
+    return True
 
 
 def scalar_exp_system(x0=1.0, terminal=False):

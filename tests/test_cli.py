@@ -464,6 +464,21 @@ def _odd_cycle_rows():
     return dataclasses.replace(sc, case=TuCase(odd_cycle, np.ones(3), np.ones(2)))
 
 
+def _eight_unit_odd_cycle():
+    # Units 1-8 of a default fleet under the rows a1 + a2, a2 + a3, a1 + a3
+    # <= 1 (an odd cycle, not TU) and a budget of 2 over units 4-8.
+    sc = default_scenario(10, seed=2, num_steps=2)
+    p, keep = sc.params, slice(0, 8)
+    params = dataclasses.replace(p, a=p.a[keep, keep], **{
+        name: getattr(p, name)[keep] for name in ("b", "theta_ambient", "theta_lo", "theta_hi", "delta", "c", "x0")
+    })
+    rows = np.zeros((4, 8))
+    for row, (i, j) in enumerate(((0, 1), (1, 2), (0, 2))):
+        rows[row, [i, j]] = 1.0
+    rows[3, 3:] = 1.0
+    return dataclasses.replace(sc, params=params, case=TuCase(rows, np.ones(4), np.full(2, 2.0)))
+
+
 @pytest.mark.parametrize(
     "scenario, options, code, start, end",
     [
@@ -486,6 +501,12 @@ def _odd_cycle_rows():
             (_odd_cycle_rows, [command, "--grid", "51", "--samples", "2"], 4, "TuViolationError: ", "not TU (step 1)")
             for command in ("sweep-linearization", "compare-derivatives")
         ],
+        # Rows are not tested for total unimodularity at any size: the
+        # 8-unit odd cycle reaches slot 1's LP, whose vertex is fractional.
+        *[
+            (_eight_unit_odd_cycle, [command, "--grid", "51"], 4, "TuViolationError: ", "not TU (step 1)")
+            for command in ("optimize", "oracle")
+        ],
     ],
 )
 def test_slot_errors_name_their_step_once(tmp_path, capsys, scenario, options, code, start, end):
@@ -498,6 +519,28 @@ def test_slot_errors_name_their_step_once(tmp_path, capsys, scenario, options, c
     assert out == "" and "\n" not in line
     assert line.startswith(f"error: {start}") and line.endswith(end)
     assert line.count("(step") == 1
+
+
+def test_small_non_tu_rows_run_under_the_oracle_solver(tmp_path):
+    # The exhaustive optimum needs no TU property: each slot applies the best
+    # feasible row of the integrated payoff.
+    from combidyn import TimeGrid, integrate, payoff_function, solve_bruteforce
+    from combidyn.refrigeration import step_constraints, step_system
+
+    sc = _eight_unit_odd_cycle()
+    path, out = tmp_path / "odd8.yaml", tmp_path / "odd8.csv"
+    write_scenario(sc, str(path))
+    argv = ["optimize", "--scenario", str(path), "--solver", "oracle", "--grid", "21", "--scheme", "rk4"]
+    assert _run([*argv, "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    grid, x = TimeGrid(sc.step_hours, 21), sc.params.x0
+    for k in (1, 2):
+        alpha = [float(r["alpha"]) for r in rows if r["step"] == str(k)]
+        con, _band = step_constraints(sc, k)
+        spec = step_system(sc, x)
+        best, _value = solve_bruteforce(payoff_function(spec, grid, "rk4"), con, 8)
+        assert alpha == best.tolist()
+        x = integrate(spec, best, grid, "rk4").final_state
 
 
 @pytest.mark.parametrize(

@@ -303,7 +303,28 @@ def test_fleet_quadratic_refuses_paths_of_another_grid():
     with pytest.raises(DimensionError, match="41 knots, but the grid has 21"):
         fleet.model(base_fine)
     with pytest.raises(DimensionError, match="41 knots, but the grid has 21"):
-        slot_payoff(sc, spec, "rk4", Trajectory(fine, base_fine), fleet)
+        slot_payoff(sc, spec, "rk4", integrate(spec, np.zeros(10), fine, "rk4"), fleet)
+
+
+def test_slot_payoff_refuses_a_path_not_integrated_all_off():
+    # A model completed from another decision's path is silently wrong: on
+    # the all-on path it values the all-off decision at -2.581, where
+    # integrating that decision gives -5.057.  The path records its decision,
+    # so slot_payoff refuses it, and a path that records none.
+    sc = default_scenario(10, seed=2, num_steps=2)
+    spec = step_system(sc, sc.params.x0)
+    grid = TimeGrid(sc.step_hours, 21)
+    off, on = (integrate(spec, np.full(10, bit), grid, "rk4") for bit in (0.0, 1.0))
+    objective, fleet = slot_payoff(sc, spec, "rk4", off)
+    want = evaluate_payoff(spec, off, np.zeros(10))
+    assert want == pytest.approx(-5.057, abs=1e-3)
+    assert objective(np.zeros(10)) == pytest.approx(want, rel=1e-12)
+    assert fleet.model(on.values).value(np.zeros(10)) == pytest.approx(-2.581, abs=1e-3)
+    stack = integrate(spec, np.zeros((2, 10)), grid, "rk4")
+    for path in (on, Trajectory(grid, off.values), stack):
+        with pytest.raises(ValueError, match="all-off decision"):
+            slot_payoff(sc, spec, "rk4", path, fleet)
+    assert on.decision.tolist() == [1.0] * 10 and not on.decision.flags.writeable
 
 
 def test_fleet_size_is_the_order_of_the_heat_transfer_matrix():

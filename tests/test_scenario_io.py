@@ -119,35 +119,39 @@ def test_tu_case_without_rows_rejected(tmp_path, capsys):
         "case:\n  kind: tu\n  Q: {rows: 0, cols: 1, data: []}\n  r: []\n  z_bar: 1\n"
     )
     path = _write(tmp_path, text)
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ScenarioError):
         parse_scenario(path)
     assert main(["optimize", "--scenario", path]) == 2
-    assert "error: ConstraintError" in capsys.readouterr().err
+    assert "error: ScenarioError: scenario.case.Q" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "q, message",
+    "q, r, z_bar, field, message",
     [
-        ("{rows: 0, cols: 1, data: []}\n  r: []",
+        ("{rows: 0, cols: 1, data: []}", "[]", "1", "Q",
          "operation rows need at least the per-step budget row"),
-        ("{rows: 1, cols: 1, data: [0.5]}\n  r: [1]", "rows must be integer"),
+        ("{rows: 1, cols: 1, data: [0.5]}", "[1]", "1", "Q", "rows must be integer"),
+        ("{rows: 1, cols: 1, data: [1]}", "[1.5]", "1", "r", "rhs must be integer"),
+        ("{rows: 1, cols: 1, data: [1]}", "[1]", "0.25", "z_bar", "z_bar must be integer"),
     ],
-    ids=["no_rows", "fractional_row"],
+    ids=["no_rows", "fractional_row", "fractional_r", "fractional_z_bar"],
 )
-def test_case_invariants_name_the_case_and_line(tmp_path, capsys, q, message):
-    # TuCase's own invariants keep their type and exit code and gain the
-    # field path and the line of the case mapping (line 16: ``kind: tu``).
-    from combidyn import ConstraintError
+def test_case_invariants_name_the_case_and_line(tmp_path, capsys, q, r, z_bar, field, message):
+    # TuCase's own invariants name the file's field (Q for its rows, r for
+    # its rhs) and its line, as ScenarioErrors: Q is on line 17, r on 18 and
+    # z_bar on 19.
     from combidyn.cli import main
 
-    text = MINIMAL.split("case:")[0] + f"case:\n  kind: tu\n  Q: {q}\n  z_bar: 1\n"
+    text = MINIMAL.split("case:")[0] + f"case:\n  kind: tu\n  Q: {q}\n  r: {r}\n  z_bar: {z_bar}\n"
     path = _write(tmp_path, text)
-    where = f"scenario.case (line 16): {message}"
-    with pytest.raises(ConstraintError) as err:
+    line = {"Q": 17, "r": 18, "z_bar": 19}[field]
+    where = f"scenario.case.{field} (line {line}): {message}"
+    with pytest.raises(ScenarioError) as err:
         parse_scenario(path)
     assert str(err.value) == where
+    assert (err.value.field_path, err.value.line) == (f"scenario.case.{field}", line)
     assert main(["optimize", "--scenario", path]) == 2
-    assert capsys.readouterr().err == f"error: ConstraintError: {where}\n"
+    assert capsys.readouterr().err == f"error: ScenarioError: {where}\n"
 
 
 def test_matrix_dimension_mismatch(tmp_path):

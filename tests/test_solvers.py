@@ -14,7 +14,6 @@ from combidyn import (
     TuRows,
     TuViolationError,
     exclusion_budget_rows,
-    is_totally_unimodular,
     solve_bruteforce,
     solve_greedy,
     solve_knapsack,
@@ -23,6 +22,7 @@ from combidyn import (
 )
 from combidyn import solvers
 from combidyn.solvers import binary_chunks, binary_rows, feasible_mask
+from support import is_totally_unimodular
 
 
 def _grad(entries):
@@ -100,21 +100,18 @@ def test_tu_examples():
     )
 
 
-def test_tu_rejects_non_tu_small_matrix():
-    odd_cycle = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    with pytest.raises(ConstraintError):
-        TuRows(np.array(odd_cycle, dtype=float), np.ones(3))
-
-
-def test_tu_violation_detected_beyond_check_limit():
-    # Odd cycle padded to 9 columns skips the exhaustive check (m > 8) and
-    # must surface as a fractional vertex.
-    rows = np.zeros((3, 9))
+@pytest.mark.parametrize("m", [3, 9])
+def test_tu_violation_surfaces_as_a_fractional_vertex(m):
+    # An odd cycle is not TU.  TuRows checks shape and integrality only, so it
+    # accepts the rows at any width; the LP vertex check refuses them.
+    rows = np.zeros((3, m))
     rows[0, :2] = 1
     rows[1, 1:3] = 1
     rows[2, 0] = rows[2, 2] = 1
-    g = np.r_[np.ones(3), np.zeros(6)]
-    with pytest.raises(TuViolationError):
+    con = TuRows(rows, np.ones(3))
+    assert np.array_equal(con.rows, rows)
+    g = np.r_[np.ones(3), np.zeros(m - 3)]
+    with pytest.raises(TuViolationError, match="fractional vertex"):
         solve_tu(_grad(g), rows, np.ones(3))
 
 
